@@ -1,6 +1,11 @@
 """Neural primitives: scaled dot-product attention, multi-head attention,
 the 3-layer feed-forward network, and parameter initialization.
 
+Activations are 2-D row matrices: a batch of B samples with n rows each is
+one (B*n, d) matrix, sample-major, so linears and feed-forward layers are
+single matrix products. Only attention splits rows by sample and columns by
+head, into (B, h, n, d/h).
+
 Attention divides the score matrix by sqrt(scale_dim) where scale_dim is the
 model-wide width d, not the per-head width d/h. That is deliberate and
 config-visible; callers that prefer per-head scaling can pass d // h.
@@ -30,26 +35,26 @@ class LinearParams:
 
 @dataclass
 class MHAParams:
-    """Per-head q/k/v projections plus the output projection.
+    """Fused q/k/v projections plus the output projection, all d -> d.
 
-    heads[i] is a (q, k, v) triple of LinearParams mapping d -> d/h; out maps
-    the concatenated heads d -> d. scale_dim is the attention divisor.
+    Head i owns columns [i*d/h, (i+1)*d/h) of q, k and v; out maps the
+    concatenated heads back to width d. scale_dim is the attention divisor.
     """
-    heads: list[tuple[LinearParams, LinearParams, LinearParams]]
+    q: LinearParams
+    k: LinearParams
+    v: LinearParams
     out: LinearParams
+    h: int
     scale_dim: int
 
     def __post_init__(self):
         d = self.out.weight.shape[0]
-        if d % len(self.heads) != 0:
-            raise ShapeError(f"width {d} not divisible by {len(self.heads)} heads")
+        if d % self.h != 0:
+            raise ShapeError(f"width {d} not divisible by {self.h} heads")
 
     def named(self, prefix: str):
-        for i, (q, k, v) in enumerate(self.heads):
-            yield from q.named(f"{prefix}.heads.{i}.q")
-            yield from k.named(f"{prefix}.heads.{i}.k")
-            yield from v.named(f"{prefix}.heads.{i}.v")
-        yield from self.out.named(f"{prefix}.out")
+        for name in ("q", "k", "v", "out"):
+            yield from getattr(self, name).named(f"{prefix}.{name}")
 
 
 @dataclass
@@ -84,15 +89,18 @@ def init_params(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 def init_mha(rng: np.random.Generator, d: int, h: int, scale_dim: int | None = None,
              dtype=np.float32) -> MHAParams:
+    """Per-head Xavier draws (q, k, v of head 0, then of head 1, ...), each
+    d -> d/h, concatenated column-wise into the fused projections."""
     if d % h != 0:
         raise ShapeError(f"width {d} not divisible by {h} heads")
-    dk = d // h
-    heads = [
-        (init_params(rng, d, dk, dtype), init_params(rng, d, dk, dtype),
-         init_params(rng, d, dk, dtype))
-        for _ in range(h)
-    ]
-    return MHAParams(heads=heads, out=init_params(rng, d, d, dtype),
+    heads = [[init_params(rng, d, d // h, dtype) for _ in range(3)] for _ in range(h)]
+    q, k, v = (
+        LinearParams(
+            weight=Tensor(np.concatenate([hd[j].weight.data for hd in heads], axis=1),
+                          requires_grad=True),
+            bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True))
+        for j in range(3))
+    return MHAParams(q=q, k=k, v=v, out=init_params(rng, d, d, dtype), h=h,
                      scale_dim=scale_dim if scale_dim is not None else d)
 
 
@@ -105,28 +113,46 @@ def linear(p: LinearParams, x: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale_dim: int) -> Tensor:
-    """softmax(q k^T / sqrt(scale_dim)) v, softmax over key positions."""
-    if q.shape[1] != k.shape[1]:
+    """softmax(q k^T / sqrt(scale_dim)) v over the last two axes, softmax over
+    key positions; any leading axes (batch, head) must match."""
+    if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention: query width {q.shape} vs key width {k.shape}")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention: key count {k.shape} vs value count {v.shape}")
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(scale_dim))
+    nd = k.data.ndim
+    return _attend(q, T.transpose(k, tuple(range(nd - 2)) + (nd - 1, nd - 2)), v, scale_dim)
+
+
+def _attend(q: Tensor, k_t: Tensor, v: Tensor, scale_dim: int) -> Tensor:
+    """attention() with the keys already transposed to (..., dk, n)."""
+    scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(scale_dim))
     return T.matmul(T.softmax_rows(scores), v)
 
 
 def multi_head_attention(p: MHAParams, q: Tensor, k: Tensor, v: Tensor, *,
+                         batch: int = 1,
                          dropout_p: float = 0.0,
                          rng: np.random.Generator | None = None,
                          training: bool = False) -> Tensor:
-    """Project per head, attend, concatenate, project back to width d.
+    """Project, attend per sample and head, merge heads, project back to d.
 
-    Dropout, when enabled, applies to the output projection result.
+    q is (batch*m, d) and k, v are (batch*n, d), sample-major. Dropout, when
+    enabled, applies to the output projection result.
     """
-    head_outs = []
-    for wq, wk, wv in p.heads:
-        head_outs.append(
-            attention(linear(wq, q), linear(wk, k), linear(wv, v), p.scale_dim))
-    out = linear(p.out, T.concat_last_dim(head_outs))
+    for x in (q, k, v):
+        if x.data.ndim != 2 or x.shape[0] % batch != 0:
+            raise ShapeError(f"attention input {x.shape} does not hold {batch} samples")
+    h = p.h
+
+    def split(x: Tensor, axes) -> Tensor:  # (batch*n, d) -> (batch, n, h, d/h), permuted
+        rows, d = x.shape
+        return T.transpose(T.reshape(x, (batch, rows // batch, h, d // h)), axes)
+
+    # keys go straight to (batch, h, d/h, n), queries and values to (batch, h, n, d/h)
+    heads = _attend(split(linear(p.q, q), (0, 2, 1, 3)), split(linear(p.k, k), (0, 2, 3, 1)),
+                    split(linear(p.v, v), (0, 2, 1, 3)), p.scale_dim)
+    merged = T.reshape(T.transpose(heads, (0, 2, 1, 3)), (q.shape[0], p.out.weight.shape[0]))
+    out = linear(p.out, merged)
     if dropout_p > 0.0:
         out = T.dropout(out, dropout_p, rng, training)
     return out

@@ -1,15 +1,22 @@
 """Binary tensor checkpoints.
 
-Layout (little-endian throughout): magic ``LIFTCKPT``, u32 version (1), u32
+Layout (little-endian throughout): magic ``LIFTCKPT``, u32 version (2), u32
 tensor count, then per tensor: u16 name length, UTF-8 name, u8 rank, one u64
 per dimension, u8 dtype code (0 = float32, 1 = float64), raw element bytes in
 row-major order. The file ends with the CRC32 (u32) of every preceding byte.
 The CRC is validated before any parsing, so truncation or corruption anywhere
 surfaces as a checksum error rather than a garbled read.
+
+Version 2 names the fused attention projections (``blocks.0.mha_2d.q.weight``
+where version 1 had ``blocks.0.mha_2d.heads.0.q.weight``); version 1 files
+are rejected. A file is written to a temporary file beside it and moved into
+place, so a failed write leaves any earlier file at the path intact.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import struct
 import zlib
 from typing import Mapping, Optional
@@ -20,7 +27,7 @@ from .model import HeadParams
 from .training import AdamState
 
 MAGIC = b"LIFTCKPT"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -39,8 +46,14 @@ class FormatError(CheckpointError):
 
 
 def write_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
-    """Serialize name->array pairs in iteration order."""
-    parts = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
+    """Serialize name->array pairs in iteration order.
+
+    Every tensor is validated before the file is opened. Headers and array
+    buffers are then written straight to ``<path>.tmp`` under a running
+    CRC32, without joining them in memory, and the file is renamed to
+    ``path``; on any failure the temporary file is removed.
+    """
+    records = []
     for name, arr in tensors.items():
         arr = np.asarray(arr)
         if arr.dtype not in _DTYPE_CODES:
@@ -48,17 +61,25 @@ def write_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
         name_b = name.encode("utf-8")
         if len(name_b) > 0xFFFF:
             raise FormatError(f"tensor name too long: {name!r}")
-        parts.append(struct.pack("<H", len(name_b)))
-        parts.append(name_b)
-        parts.append(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            parts.append(struct.pack("<Q", dim))
-        parts.append(struct.pack("<B", _DTYPE_CODES[arr.dtype]))
-        parts.append(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
-    blob = b"".join(parts)
-    with open(path, "wb") as f:
-        f.write(blob)
-        f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+        header = (struct.pack("<H", len(name_b)) + name_b
+                  + struct.pack(f"<B{arr.ndim}QB", arr.ndim, *arr.shape,
+                                _DTYPE_CODES[arr.dtype]))
+        records.append((header, np.ascontiguousarray(
+            arr, dtype=arr.dtype.newbyteorder("<"))))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            crc = 0
+            for buf in itertools.chain([MAGIC + struct.pack("<II", VERSION, len(records))],
+                                       *records):
+                f.write(buf)
+                crc = zlib.crc32(buf, crc)
+            f.write(struct.pack("<I", crc & 0xFFFFFFFF))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
@@ -67,21 +88,22 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         raw = f.read()
     if len(raw) < len(MAGIC) + 12:
         raise ChecksumError(f"{path}: file too short to hold a checksum")
-    blob, (stored_crc,) = raw[:-4], struct.unpack("<I", raw[-4:])
+    blob = memoryview(raw)[:-4]
+    (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(blob) & 0xFFFFFFFF != stored_crc:
         raise ChecksumError(f"{path}: checksum mismatch")
     if blob[:len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:len(MAGIC)]!r}")
+        raise FormatError(f"{path}: bad magic {bytes(blob[:len(MAGIC)])!r}")
     off = len(MAGIC)
     version, count = struct.unpack_from("<II", blob, off)
     off += 8
     if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+        raise FormatError(f"{path}: unsupported version {version} (expected {VERSION})")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack_from("<H", blob, off)
         off += 2
-        name = blob[off:off + name_len].decode("utf-8")
+        name = bytes(blob[off:off + name_len]).decode("utf-8")
         off += name_len
         (rank,) = struct.unpack_from("<B", blob, off)
         off += 1

@@ -242,9 +242,9 @@ def cmd_eval(cfg: dict[str, object]) -> int:
 def cmd_gradcheck(cfg: dict[str, object], inject_fault: Optional[str]) -> int:
     results = G.run_primitive_suite(tolerance=PRIMITIVE_TOLERANCE,
                                     seed=cfg["seed"], inject_fault=inject_fault)
-    composed_err = G.composed_head_check(seed=cfg["seed"])
-    results.append(("composed_head", composed_err,
-                    composed_err < COMPOSED_TOLERANCE))
+    for name, batch in (("composed_head", None), ("composed_head_batch3", 3)):
+        err = G.composed_head_check(seed=cfg["seed"], batch=batch)
+        results.append((name, err, err < COMPOSED_TOLERANCE))
     failed = []
     for name, err, ok in results:
         print(f"gradcheck.{name}\t{err:.3e}\t{'pass' if ok else 'fail'}")

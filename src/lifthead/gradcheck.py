@@ -8,7 +8,7 @@ analytic gradient the caller hands it. Used by the test suite and by the
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -83,7 +83,8 @@ def _weighted(out: T.Tensor, w: np.ndarray) -> T.Tensor:
 
 
 def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
-    """One finite-difference check per differentiable primitive.
+    """One finite-difference check per differentiable primitive, plus one
+    per N-D form of matmul, transpose and softmax_rows.
 
     Returns a name -> callable map; each callable takes a fault factor and
     returns the worst relative error for that primitive.
@@ -104,6 +105,11 @@ def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
     w_gather = r(4, 5)
     w_resh = r(15)
     drop_seed = int(rng.integers(1 << 30))
+    # batched forms: a (2, 3, 4) stack against a shared (4, 5) matrix and
+    # against a (2, 4, 5) stack; an axes permutation; softmax on the last axis
+    x234, b45, b245 = r(2, 3, 4), r(4, 5), r(2, 4, 5)
+    w235, w423 = r(2, 3, 5), r(4, 2, 3)
+    w234 = r(2, 3, 4)
 
     checks = {
         "matmul": lambda fault=0.0: check_op(
@@ -153,6 +159,14 @@ def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
         "normalize_rows": lambda fault=0.0: check_op(
             lambda t: _weighted(T.normalize_rows(t[0], eps=1e-8), w35),
             [x35 + np.sign(x35) * 0.1], fault),
+        "matmul_batch_x_matrix": lambda fault=0.0: check_op(
+            lambda t: _weighted(T.matmul(t[0], t[1]), w235), [x234, b45], fault),
+        "matmul_batch_x_batch": lambda fault=0.0: check_op(
+            lambda t: _weighted(T.matmul(t[0], t[1]), w235), [x234, b245], fault),
+        "transpose_axes": lambda fault=0.0: check_op(
+            lambda t: _weighted(T.transpose(t[0], (2, 0, 1)), w423), [x234], fault),
+        "softmax_last_axis": lambda fault=0.0: check_op(
+            lambda t: _weighted(T.softmax_rows(t[0]), w234), [x234], fault),
     }
     return checks
 
@@ -168,14 +182,17 @@ def run_primitive_suite(tolerance: float = 1e-6, seed: int = 0,
     return results
 
 
-def composed_head_check(seed: int = 0, coords_per_tensor: int = 4) -> float:
+def composed_head_check(seed: int = 0, coords_per_tensor: int = 4,
+                        batch: Optional[int] = None) -> float:
     """Worst relative error across all parameters of a small full head.
 
     A random linear readout of the pose outputs gives the scalar; every
-    parameter tensor is probed at a few coordinates with central differences
-    in float64. Parameters are first jittered away from the init point, where
-    zero biases park whole relu rows exactly on the kink and a one-sided
-    slope is the honest answer that central differences cannot measure.
+    parameter tensor and the input features are probed at a few coordinates
+    with central differences in float64. With batch set, the features are a
+    (batch, n_patches, c_in) stack and the batched path is checked.
+    Parameters are first jittered away from the init point, where zero
+    biases park whole relu rows exactly on the kink and a one-sided slope is
+    the honest answer that central differences cannot measure.
     """
     from . import model as M
 
@@ -184,11 +201,12 @@ def composed_head_check(seed: int = 0, coords_per_tensor: int = 4) -> float:
     params = M.init_head(cfg, rng, dtype=np.float64)
     for _, t in params.named_parameters():
         t.data = t.data + rng.uniform(-0.05, 0.05, size=t.shape)
-    feats = T.Tensor(rng.standard_normal((cfg.n_patches, cfg.c_in)))
+    lead = () if batch is None else (batch,)
+    feats = T.Tensor(rng.standard_normal(lead + (cfg.n_patches, cfg.c_in)))
     feats.requires_grad = True
-    wk = rng.standard_normal((cfg.n_joints, 3))
-    wt = rng.standard_normal((cfg.n_twists, 2))
-    wb = rng.standard_normal(cfg.beta_dim)
+    wk = rng.standard_normal(lead + (cfg.n_joints, 3))
+    wt = rng.standard_normal(lead + (cfg.n_twists, 2))
+    wb = rng.standard_normal(lead + (cfg.beta_dim,))
 
     def readout():
         out = M.forward(cfg, params, feats)

@@ -10,6 +10,10 @@ FFN while the template stage has none. There is one template row per output
 - 24 keypoints, 23 twists, 1 shape row, 48 in all - and the final embedding
 is projected row-wise into 24 3D keypoints, 23 unit-norm (cos, sin) twist
 pairs and a 10-dim body shape vector.
+
+A batch of B samples runs as one pass: both streams are (B*rows, d)
+matrices, sample-major, and every stage takes the batch size to split them
+by sample where attention needs it. The whole batch shares one patch subset.
 """
 
 from __future__ import annotations
@@ -151,10 +155,11 @@ class HeadParams:
 
 @dataclass
 class PoseOutput:
-    """24 3D keypoints, 23 (cos, sin) twist pairs, 10-dim shape vector."""
-    keypoints: Tensor  # (n_joints, 3)
-    twists: Tensor     # (n_twists, 2), unit-norm rows
-    beta: Tensor       # (beta_dim,)
+    """24 3D keypoints, 23 (cos, sin) twist pairs, 10-dim shape vector; a
+    batched forward puts a leading batch axis on each."""
+    keypoints: Tensor  # ([B,] n_joints, 3)
+    twists: Tensor     # ([B,] n_twists, 2), unit-norm rows
+    beta: Tensor       # ([B,] beta_dim)
 
 
 def _init_layer_norm(d: int, dtype) -> LayerNormParams:
@@ -213,56 +218,64 @@ def embed_source(features: Tensor, t: Templates,
                  patch_indices: Optional[Sequence[int]] = None) -> Tensor:
     """Project backbone patches to width d and add the position encoding.
 
-    With patch_indices set (training augmentation), only those rows of the
-    features and the position encoding participate.
+    features is (n_patches, c_in) for one sample or (B, n_patches, c_in);
+    the result is (B*k, d), sample-major. With patch_indices set (training
+    augmentation), only those k rows of every sample and of the position
+    encoding participate; otherwise k = n_patches.
     """
-    pos = t.pos_enc
-    if patch_indices is not None:
-        features = T.gather_rows(features, patch_indices)
-        pos = T.gather_rows(pos, patch_indices)
-    if features.shape[1] != t.input_proj.weight.shape[0]:
+    if features.data.ndim not in (2, 3):
+        raise ShapeError(f"features must be (n_patches, c_in) or (B, n_patches, c_in), "
+                         f"got {features.shape}")
+    batch = features.shape[0] if features.data.ndim == 3 else 1
+    n_patches, c_in = features.shape[-2:]
+    if c_in != t.input_proj.weight.shape[0]:
         raise ShapeError(
             f"feature channels {features.shape} do not match input projection "
             f"{t.input_proj.weight.shape}")
-    if features.shape[0] != pos.shape[0]:
+    if n_patches != t.pos_enc.shape[0]:
         raise ShapeError(
-            f"patch count {features.shape} does not match position encoding {pos.shape}")
-    return T.add(B.linear(t.input_proj, features), pos)
+            f"patch count {features.shape} does not match position encoding "
+            f"{t.pos_enc.shape}")
+    keep = list(range(n_patches) if patch_indices is None else patch_indices)
+    rows = [s * n_patches + i for s in range(batch) for i in keep]
+    x = T.gather_rows(T.reshape(features, (batch * n_patches, c_in)), rows)
+    return T.add(B.linear(t.input_proj, x), T.gather_rows(t.pos_enc, keep * batch))
 
 
-def assemble_templates(t: Templates, cfg: HeadConfig) -> Tensor:
-    """n_templates x d matrix: each row is a joint embedding plus its
+def assemble_templates(t: Templates, cfg: HeadConfig, batch: int = 1) -> Tensor:
+    """(batch*n_templates, d) matrix: each row is a joint embedding plus its
     output-type embedding (keypoint rows, then twist rows, then the shape
-    row)."""
+    row), repeated for every sample."""
     joints, types = template_row_indices(cfg)
-    return T.add(T.gather_rows(t.joint_emb, joints), T.gather_rows(t.type_emb, types))
+    return T.add(T.gather_rows(t.joint_emb, joints * batch),
+                 T.gather_rows(t.type_emb, types * batch))
 
 
 def _stage(mha_out: Tensor, residual: Tensor, ln: LayerNormParams) -> Tensor:
     return T.relu(T.layer_norm(T.add(mha_out, residual), ln.gamma, ln.beta))
 
 
-def encode_2d_block(p: BlockParams, e_prev: Tensor, *,
+def encode_2d_block(p: BlockParams, e_prev: Tensor, *, batch: int = 1,
                     dropout_p: float = 0.0, rng=None, training: bool = False) -> Tensor:
-    a = B.multi_head_attention(p.mha_2d, e_prev, e_prev, e_prev,
+    a = B.multi_head_attention(p.mha_2d, e_prev, e_prev, e_prev, batch=batch,
                                dropout_p=dropout_p, rng=rng, training=training)
     b = _stage(a, e_prev, p.ln_2d)
     return B.feed_forward(p.ffn_2d, b, dropout_p=dropout_p, rng=rng, training=training)
 
 
-def encode_templates_block(p: BlockParams, e_prev_3d: Tensor, *,
+def encode_templates_block(p: BlockParams, e_prev_3d: Tensor, *, batch: int = 1,
                            dropout_p: float = 0.0, rng=None,
                            training: bool = False) -> Tensor:
     # this stage has no FFN
-    a = B.multi_head_attention(p.mha_3d, e_prev_3d, e_prev_3d, e_prev_3d,
+    a = B.multi_head_attention(p.mha_3d, e_prev_3d, e_prev_3d, e_prev_3d, batch=batch,
                                dropout_p=dropout_p, rng=rng, training=training)
     return _stage(a, e_prev_3d, p.ln_3d)
 
 
-def decode_block(p: BlockParams, e_3d_t: Tensor, e_2d: Tensor, *,
+def decode_block(p: BlockParams, e_3d_t: Tensor, e_2d: Tensor, *, batch: int = 1,
                  dropout_p: float = 0.0, rng=None, training: bool = False) -> Tensor:
     """Cross-attend templates (queries) against this block's encoded patches."""
-    a = B.multi_head_attention(p.mha_cross, e_3d_t, e_2d, e_2d,
+    a = B.multi_head_attention(p.mha_cross, e_3d_t, e_2d, e_2d, batch=batch,
                                dropout_p=dropout_p, rng=rng, training=training)
     b = _stage(a, e_3d_t, p.ln_cross)
     return B.feed_forward(p.ffn_3d, b, dropout_p=dropout_p, rng=rng, training=training)
@@ -272,7 +285,9 @@ def encode_decode(cfg: HeadConfig, params: HeadParams, features: Tensor, *,
                   training: bool = False, rng=None,
                   patch_indices: Optional[Sequence[int]] = None
                   ) -> tuple[Tensor, Tensor]:
-    """Run all L blocks; returns the final (patch, template) embeddings.
+    """Run all L blocks; returns the final (patch, template) embeddings as
+    (B*k, d) and (B*n_templates, d) matrices, sample-major (B = 1 for
+    unbatched features).
 
     The template stream of block l reads the decoder output of block l-1;
     the decoder of block l reads the 2D encoder output of the same block.
@@ -280,9 +295,10 @@ def encode_decode(cfg: HeadConfig, params: HeadParams, features: Tensor, *,
     dropout_p = cfg.dropout if training else 0.0
     if dropout_p > 0.0 and rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
-    kw = dict(dropout_p=dropout_p, rng=rng, training=training)
+    batch = features.shape[0] if features.data.ndim == 3 else 1
+    kw = dict(batch=batch, dropout_p=dropout_p, rng=rng, training=training)
     e_2d = embed_source(features, params.templates, patch_indices)
-    e_3d = assemble_templates(params.templates, cfg)
+    e_3d = assemble_templates(params.templates, cfg, batch)
     for blk in params.blocks:
         e_2d = encode_2d_block(blk, e_2d, **kw)
         e_3d_t = encode_templates_block(blk, e_3d, **kw)
@@ -292,32 +308,52 @@ def encode_decode(cfg: HeadConfig, params: HeadParams, features: Tensor, *,
 
 def project_outputs(e_last: Tensor, proj_kpt: LinearParams, proj_twist: LinearParams,
                     proj_beta: LinearParams, *, n_joints: int = 24,
-                    training: bool = False) -> PoseOutput:
-    """Row-wise output projections of the final template embedding."""
-    n_twists = e_last.shape[0] - n_joints - 1
-    kpt = B.linear(proj_kpt, T.slice_rows(e_last, 0, n_joints))
-    twist_raw = B.linear(proj_twist, T.slice_rows(e_last, n_joints, n_joints + n_twists))
+                    training: bool = False, batch: Optional[int] = None) -> PoseOutput:
+    """Row-wise output projections of the final template embedding.
+
+    e_last holds the template rows of one sample (batch None: unbatched
+    outputs) or of batch samples, sample-major (outputs lead with batch).
+    """
+    lead = () if batch is None else (batch,)
+    n_samples = batch or 1
+    n_rows = e_last.shape[0] // n_samples
+    n_twists = n_rows - n_joints - 1
+
+    def rows(lo: int, hi: int) -> Tensor:
+        return T.gather_rows(e_last, [s * n_rows + r for s in range(n_samples)
+                                      for r in range(lo, hi)])
+
+    kpt = B.linear(proj_kpt, rows(0, n_joints))
+    twist_raw = B.linear(proj_twist, rows(n_joints, n_joints + n_twists))
     if not training:
         norms = np.sqrt((twist_raw.data ** 2).sum(axis=1))
         if (norms < TWIST_NORM_FLOOR).any():
             bad = int(np.argmin(norms))
+            sample, row = divmod(bad, n_twists)
             raise NormalizationDegenerateError(
-                f"twist row {bad} has norm {norms[bad]:.3e} < {TWIST_NORM_FLOOR}")
+                f"sample {sample} twist row {row} has norm {norms[bad]:.3e} "
+                f"< {TWIST_NORM_FLOOR}")
     twists = T.normalize_rows(twist_raw, eps=TWIST_NORM_FLOOR)
-    beta_row = B.linear(proj_beta, T.slice_rows(e_last, n_joints + n_twists,
-                                                n_joints + n_twists + 1))
-    beta = T.reshape(beta_row, (beta_row.shape[1],))
-    return PoseOutput(keypoints=kpt, twists=twists, beta=beta)
+    beta = B.linear(proj_beta, rows(n_rows - 1, n_rows))
+    return PoseOutput(
+        keypoints=T.reshape(kpt, lead + (n_joints, kpt.shape[1])),
+        twists=T.reshape(twists, lead + (n_twists, twists.shape[1])),
+        beta=T.reshape(beta, lead + (beta.shape[1],)))
 
 
 def forward(cfg: HeadConfig, params: HeadParams, features: Tensor, *,
             training: bool = False, rng=None,
             patch_indices: Optional[Sequence[int]] = None) -> PoseOutput:
-    """Full head: embed, encode/decode L blocks, project outputs."""
+    """Full head: embed, encode/decode L blocks, project outputs.
+
+    features of one sample, (n_patches, c_in), give unbatched outputs; a
+    (B, n_patches, c_in) batch gives outputs with a leading batch axis.
+    """
     _, e_3d = encode_decode(cfg, params, features, training=training, rng=rng,
                             patch_indices=patch_indices)
+    batch = features.shape[0] if features.data.ndim == 3 else None
     return project_outputs(e_3d, params.proj_kpt, params.proj_twist, params.proj_beta,
-                           n_joints=cfg.n_joints, training=training)
+                           n_joints=cfg.n_joints, training=training, batch=batch)
 
 
 def pose_output_from_arrays(keypoints, twists, beta, dtype=np.float32) -> PoseOutput:

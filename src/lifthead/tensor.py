@@ -11,6 +11,7 @@ requires_grad).
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
-        self._tape: Optional[Tape] = None
+        self._tape: Optional[object] = None  # Tape.key of the recording tape
         self._node_id: Optional[int] = None
 
     @property
@@ -99,6 +100,10 @@ class Tape:
     def __init__(self):
         self.entries: list[_TapeEntry] = []
         self._ids = itertools.count()
+        # Recorded tensors point at this key, not at the tape: the entries
+        # hold their input tensors, so a back-reference would make every tape
+        # a reference cycle, freed only by the cyclic garbage collector.
+        self.key = object()
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -110,7 +115,7 @@ class Tape:
 
     def record(self, out: Tensor, inputs: Sequence[Tensor],
                backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> None:
-        out._tape = self
+        out._tape = self.key
         out._node_id = next(self._ids)
         self.entries.append(_TapeEntry(out._node_id, tuple(inputs), backward_fn))
 
@@ -123,7 +128,7 @@ def active_tape() -> Optional[Tape]:
 
 
 def _tracked(t: Tensor, tape: Tape) -> bool:
-    return t.requires_grad or t._tape is tape
+    return t.requires_grad or t._tape is tape.key
 
 
 def _maybe_record(out, inputs, backward_fn):
@@ -142,7 +147,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if loss.size != 1:
         raise NonScalarLossError(f"loss must be scalar, got shape {loss.shape}")
     adjoint: dict[int, np.ndarray] = {}
-    if loss._tape is tape and loss._node_id is not None:
+    if loss._tape is tape.key and loss._node_id is not None:
         adjoint[loss._node_id] = np.ones_like(loss.data)
     elif loss.requires_grad:
         # loss is itself a leaf; nothing upstream to differentiate
@@ -156,7 +161,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
         for inp, gi in zip(entry.inputs, grads):
             if gi is None:
                 continue
-            if inp._tape is tape and inp._node_id is not None:
+            if inp._tape is tape.key and inp._node_id is not None:
                 nid = inp._node_id
                 if nid in adjoint:
                     adjoint[nid] = adjoint[nid] + gi
@@ -171,23 +176,41 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    """Matrix product over the last two axes.
 
-    def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+    ``a`` is (..., m, k); ``b`` is either a (k, n) matrix shared by every
+    leading index, whose gradient is then one 2-D product over all rows of
+    ``a``, or (..., k, n) with the same leading dims as ``a``.
+    """
+    ad, bd = a.data, b.data
+    if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
+            or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
+    out = Tensor(ad @ bd)
+
+    if bd.ndim == 2:
+        def bwd(g):
+            # a contiguous copy of b.T: OpenBLAS 0.3.31 on 2 threads took
+            # 0.25-3 ms instead of 25 us for g @ b.T at (768, 32) x (32, 32)
+            return (g @ np.ascontiguousarray(bd.T),
+                    ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+    else:
+        def bwd(g):
+            return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return _maybe_record(out, (a, b), bwd)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {x.shape}")
-    out = Tensor(np.ascontiguousarray(x.data.T))
+def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
+    """Permute the axes (reverse them by default, so a matrix is transposed)."""
+    axes = tuple(reversed(range(x.data.ndim))) if axes is None else tuple(axes)
+    if sorted(axes) != list(range(x.data.ndim)):
+        raise ShapeError(f"transpose: {axes} is not a permutation of the axes of {x.shape}")
+    inverse = tuple(axes.index(i) for i in range(len(axes)))
+    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
 
     def bwd(g):
-        return (np.ascontiguousarray(g.T),)
+        return (np.ascontiguousarray(g.transpose(inverse)),)
 
     return _maybe_record(out, (x,), bwd)
 
@@ -285,16 +308,16 @@ def mean(x: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with row-max subtraction for stability."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis, with max subtraction for stability."""
+    if x.data.ndim < 1:
+        raise ShapeError(f"softmax_rows expects at least one axis, got shape {x.shape}")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def bwd(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _maybe_record(out, (x,), bwd)
@@ -394,8 +417,13 @@ def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     out = Tensor(x.data[idx])
 
     def bwd(g):
+        # one reduceat sums the rows of each repeated index in order, as
+        # np.add.at does, without its per-element loop
         full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
+        if idx.size:
+            order = np.argsort(idx, kind="stable")
+            rows, starts = np.unique(idx[order], return_index=True)
+            full[rows] = np.add.reduceat(g[order], starts, axis=0)
         return (full,)
 
     return _maybe_record(out, (x,), bwd)
@@ -403,9 +431,9 @@ def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
+    if math.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    out = Tensor(x.data.reshape(shape).copy())
+    out = Tensor(x.data.reshape(shape))
 
     def bwd(g):
         return (g.reshape(x.shape),)

@@ -22,6 +22,8 @@ from .tensor import Tape, Tensor, backward
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# samples per batched forward in evaluate(); bounds its activation memory
+EVAL_BATCH = 64
 
 
 class TrainingAborted(RuntimeError):
@@ -192,17 +194,28 @@ class TrainResult:
     metrics: list[StepMetrics]
 
 
+def stack_samples(samples: Sequence[tuple[Tensor, PoseOutput]]
+                  ) -> tuple[Tensor, PoseOutput]:
+    """One (B, n_patches, c_in) feature batch and its batched targets."""
+    targets = [t for _, t in samples]
+    return Tensor(np.stack([f.data for f, _ in samples])), PoseOutput(
+        keypoints=Tensor(np.stack([t.keypoints.data for t in targets])),
+        twists=Tensor(np.stack([t.twists.data for t in targets])),
+        beta=Tensor(np.stack([t.beta.data for t in targets])))
+
+
 def train(head_cfg: HeadConfig, params: HeadParams,
           dataset: Sequence[tuple[Tensor, PoseOutput]], cfg: TrainConfig, *,
           checkpoint_dir=None, metrics_path=None) -> TrainResult:
     """Optimize params on dataset; returns the averaged model and step log.
 
     Each epoch shuffles, batches, draws one patch subset per batch, and runs
-    forward/loss/backward/Adam per step (batch loss = mean of per-sample
-    losses). A parameter snapshot is kept per epoch; the returned model is
-    the elementwise mean of the last avg_last_epochs snapshots. With
-    checkpoint_dir set, per-epoch and averaged checkpoints are also written
-    to disk. A non-finite loss aborts with step/lr/loss in the error.
+    one batched forward/loss/backward and one Adam update per step (the loss
+    of a batch is the mean of its per-sample losses). A parameter snapshot is
+    kept per epoch; the returned model is the elementwise mean of the last
+    avg_last_epochs snapshots. With checkpoint_dir set, per-epoch and
+    averaged checkpoints are also written to disk. A non-finite loss aborts
+    with step/lr/loss in the error.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -221,20 +234,17 @@ def train(head_cfg: HeadConfig, params: HeadParams,
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
-            batch = [dataset[i] for i in order[lo:lo + cfg.batch_size]]
+            features, targets = stack_samples(
+                [dataset[i] for i in order[lo:lo + cfg.batch_size]])
             step += 1
             lr = lr_at(step, cfg)
             subset = sample_patch_subset(n_patches, cfg, rng)
             t0 = time.perf_counter()
             with Tape() as tape:
-                total = None
-                for features, target in batch:
-                    out = M.forward(train_cfg_head, params, features,
-                                    training=True, rng=rng, patch_indices=subset)
-                    sample_loss = loss(out, target, w_kpt=cfg.w_kpt,
-                                       w_twist=cfg.w_twist, w_beta=cfg.w_beta)
-                    total = sample_loss if total is None else T.add(total, sample_loss)
-                total = T.scale(total, 1.0 / len(batch))
+                out = M.forward(train_cfg_head, params, features,
+                                training=True, rng=rng, patch_indices=subset)
+                total = loss(out, targets, w_kpt=cfg.w_kpt,
+                             w_twist=cfg.w_twist, w_beta=cfg.w_beta)
                 loss_value = total.item()
                 if not math.isfinite(loss_value):
                     raise TrainingAborted(step, lr, loss_value)
@@ -259,18 +269,21 @@ def train(head_cfg: HeadConfig, params: HeadParams,
 def evaluate(head_cfg: HeadConfig, params: HeadParams,
              dataset: Sequence[tuple[Tensor, PoseOutput]]) -> dict[str, float]:
     """Eval-mode metrics over a dataset: keypoint MSE, mean twist angular
-    error in degrees, beta MSE. Uses every patch (no augmentation)."""
+    error in degrees, beta MSE, each the mean of per-sample values. Uses
+    every patch (no augmentation); runs batched forwards of at most
+    EVAL_BATCH samples."""
     if not dataset:
         raise ValueError("dataset must be non-empty")
     kpt_sq, ang_deg, beta_sq = [], [], []
-    for features, target in dataset:
+    for lo in range(0, len(dataset), EVAL_BATCH):
+        features, target = stack_samples(dataset[lo:lo + EVAL_BATCH])
         out = M.forward(head_cfg, params, features, training=False)
-        kpt_sq.append(np.mean((out.keypoints.data - target.keypoints.data) ** 2))
-        cosang = np.clip((out.twists.data * target.twists.data).sum(axis=1), -1.0, 1.0)
-        ang_deg.append(np.degrees(np.arccos(cosang)).mean())
-        beta_sq.append(np.mean((out.beta.data - target.beta.data) ** 2))
+        kpt_sq.append(((out.keypoints.data - target.keypoints.data) ** 2).mean(axis=(1, 2)))
+        cosang = np.clip((out.twists.data * target.twists.data).sum(axis=2), -1.0, 1.0)
+        ang_deg.append(np.degrees(np.arccos(cosang)).mean(axis=1))
+        beta_sq.append(((out.beta.data - target.beta.data) ** 2).mean(axis=1))
     return {
-        "keypoint_mse": float(np.mean(kpt_sq)),
-        "twist_angular_error_deg": float(np.mean(ang_deg)),
-        "beta_mse": float(np.mean(beta_sq)),
+        "keypoint_mse": float(np.mean(np.concatenate(kpt_sq))),
+        "twist_angular_error_deg": float(np.mean(np.concatenate(ang_deg))),
+        "beta_mse": float(np.mean(np.concatenate(beta_sq))),
     }

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifthead import blocks as B
 from lifthead import tensor as T
@@ -26,6 +28,18 @@ def attention_oracle(q, k, v, scale_dim):
         for j in range(n):
             out[i] += w[j] * v[j]
     return out
+
+
+def per_head_oracle(p, q, k, v):
+    """Per-head loop over column slices of the fused projections."""
+    dk = p.q.weight.shape[1] // p.h
+    head_outs = []
+    for i in range(p.h):
+        cols = slice(i * dk, (i + 1) * dk)
+        qh, kh, vh = (x @ lp.weight.data[:, cols] + lp.bias.data[cols]
+                      for x, lp in ((q, p.q), (k, p.k), (v, p.v)))
+        head_outs.append(attention_oracle(qh, kh, vh, p.scale_dim))
+    return np.concatenate(head_outs, axis=1) @ p.out.weight.data + p.out.bias.data
 
 
 def identity_linear(d):
@@ -86,8 +100,8 @@ class TestMultiHeadAttention:
         d = 4
         rng = np.random.default_rng(5)
         q, k, v = rng.normal(size=(3, d)), rng.normal(size=(5, d)), rng.normal(size=(5, d))
-        p = B.MHAParams(heads=[(identity_linear(d), identity_linear(d), identity_linear(d))],
-                        out=identity_linear(d), scale_dim=d)
+        p = B.MHAParams(q=identity_linear(d), k=identity_linear(d), v=identity_linear(d),
+                        out=identity_linear(d), h=1, scale_dim=d)
         got = B.multi_head_attention(p, t64(q), t64(k), t64(v))
         want = B.attention(t64(q), t64(k), t64(v), scale_dim=d)
         np.testing.assert_allclose(got.data, want.data, atol=1e-6)
@@ -105,22 +119,46 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(7)
         p = B.init_mha(rng, d=d, h=h, dtype=np.float64)
         # break the zero-bias symmetry so the oracle exercises biases too
-        for wq, wk, wv in p.heads:
-            for lp in (wq, wk, wv):
-                lp.bias.data = rng.normal(size=lp.bias.shape)
-        p.out.bias.data = rng.normal(size=d)
+        for lp in (p.q, p.k, p.v, p.out):
+            lp.bias.data = rng.normal(size=d)
         q, k, v = rng.normal(size=(3, d)), rng.normal(size=(4, d)), rng.normal(size=(4, d))
-
-        head_outs = []
-        for wq, wk, wv in p.heads:
-            qh = q @ wq.weight.data + wq.bias.data
-            kh = k @ wk.weight.data + wk.bias.data
-            vh = v @ wv.weight.data + wv.bias.data
-            head_outs.append(attention_oracle(qh, kh, vh, p.scale_dim))
-        want = np.concatenate(head_outs, axis=1) @ p.out.weight.data + p.out.bias.data
-
         got = B.multi_head_attention(p, t64(q), t64(k), t64(v))
-        np.testing.assert_allclose(got.data, want, atol=1e-6)
+        np.testing.assert_allclose(got.data, per_head_oracle(p, q, k, v), atol=1e-6)
+
+    @given(h=st.sampled_from([1, 2, 4]), dk=st.integers(1, 3), batch=st.integers(1, 3),
+           m=st.integers(1, 4), n=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_matches_per_sample_oracle(self, h, dk, batch, m, n, seed):
+        d = h * dk
+        rng = np.random.default_rng(seed)
+        p = B.init_mha(rng, d=d, h=h, dtype=np.float64)
+        for lp in (p.q, p.k, p.v, p.out):
+            lp.bias.data = rng.normal(size=d)
+        q = rng.normal(size=(batch, m, d))
+        k, v = rng.normal(size=(batch, n, d)), rng.normal(size=(batch, n, d))
+        got = B.multi_head_attention(p, t64(q.reshape(-1, d)), t64(k.reshape(-1, d)),
+                                     t64(v.reshape(-1, d)), batch=batch)
+        want = np.concatenate([per_head_oracle(p, q[s], k[s], v[s]) for s in range(batch)])
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
+
+    def test_rows_must_split_into_samples(self):
+        p = B.init_mha(np.random.default_rng(0), d=4, h=2, dtype=np.float64)
+        x = t64(np.zeros((5, 4)))
+        with pytest.raises(T.ShapeError, match="samples"):
+            B.multi_head_attention(p, x, x, x, batch=2)
+
+    def test_fused_init_is_concatenated_per_head_draws(self):
+        d, h = 12, 3
+        got = B.init_mha(np.random.default_rng(3), d=d, h=h)
+        rng = np.random.default_rng(3)
+        heads = [[B.init_params(rng, d, d // h) for _ in range(3)] for _ in range(h)]
+        out = B.init_params(rng, d, d)
+        for j, lp in enumerate((got.q, got.k, got.v)):
+            want = np.concatenate([hd[j].weight.data for hd in heads], axis=1)
+            assert lp.weight.data.dtype == want.dtype
+            np.testing.assert_array_equal(lp.weight.data, want)
+            np.testing.assert_array_equal(lp.bias.data, np.zeros(d, dtype=np.float32))
+        np.testing.assert_array_equal(got.out.weight.data, out.weight.data)
 
     def test_scale_dim_defaults_to_model_width(self):
         p = B.init_mha(np.random.default_rng(0), d=8, h=2)
@@ -200,19 +238,12 @@ class TestComposedGradients:
         rng = np.random.default_rng(10)
         q, k, v = (rng.uniform(-1, 1, (2, d)), rng.uniform(-1, 1, (3, d)),
                    rng.uniform(-1, 1, (3, d)))
-        flat_shapes = [(d, d // h)] * 6 + [(d // h,)] * 6 + [(d, d), (d,)]
-        arrays = [rng.uniform(-1, 1, s) for s in flat_shapes]
+        arrays = [rng.uniform(-1, 1, (d, d)) for _ in range(4)] + \
+                 [rng.uniform(-1, 1, (d,)) for _ in range(4)]
 
         def build(ts):
-            heads = []
-            for i in range(h):
-                heads.append((
-                    B.LinearParams(ts[3 * i + 0], ts[6 + 3 * i + 0]),
-                    B.LinearParams(ts[3 * i + 1], ts[6 + 3 * i + 1]),
-                    B.LinearParams(ts[3 * i + 2], ts[6 + 3 * i + 2]),
-                ))
-            p = B.MHAParams(heads=heads, out=B.LinearParams(ts[12], ts[13]),
-                            scale_dim=d)
+            q_p, k_p, v_p, out_p = (B.LinearParams(ts[i], ts[4 + i]) for i in range(4))
+            p = B.MHAParams(q=q_p, k=k_p, v=v_p, out=out_p, h=h, scale_dim=d)
             return T.sum_(B.multi_head_attention(
                 p, T.Tensor(q, dtype=np.float64), T.Tensor(k, dtype=np.float64),
                 T.Tensor(v, dtype=np.float64)))

@@ -59,6 +59,65 @@ class TestRawTensorIO:
         write_tensors(path, {})
         assert read_tensors(path) == {}
 
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        write_tensors(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                             "step": np.array(7.0)})
+        body = (b"LIFTCKPT" + struct.pack("<II", 2, 2)
+                + struct.pack("<H", 1) + b"w" + struct.pack("<BQQB", 2, 2, 3, 0)
+                + np.arange(6, dtype="<f4").tobytes()
+                + struct.pack("<H", 4) + b"step" + struct.pack("<BB", 0, 1)
+                + struct.pack("<d", 7.0))
+        assert path.read_bytes() == body + struct.pack("<I", 0xEC244F34)
+        assert zlib.crc32(body) == 0xEC244F34
+
+
+class TestFailedWrite:
+    """A write that fails leaves the previous file and no temporary file."""
+
+    def _existing(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        write_tensors(path, {"x": np.ones(3, dtype=np.float32)})
+        return path, path.read_bytes()
+
+    def test_invalid_tensor_after_valid_ones(self, tmp_path):
+        path, before = self._existing(tmp_path)
+        with pytest.raises(FormatError, match="dtype"):
+            write_tensors(path, {"a": np.zeros(4, dtype=np.float32),
+                                 "b": np.arange(3)})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
+
+    def test_failure_while_writing(self, tmp_path, monkeypatch):
+        path, before = self._existing(tmp_path)
+        calls = []
+
+        def failing_crc(buf, value=0):
+            calls.append(len(calls))
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return zlib.crc32(buf, value)
+
+        monkeypatch.setattr(C.zlib, "crc32", failing_crc)
+        with pytest.raises(OSError, match="disk full"):
+            write_tensors(path, {"a": np.zeros(4, dtype=np.float32)})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
+
+    def test_failure_while_renaming(self, tmp_path, monkeypatch):
+        path, before = self._existing(tmp_path)
+
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(C.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            write_tensors(path, {"a": np.zeros(4, dtype=np.float32)})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
+
 
 class TestCorruption:
     def _write(self, tmp_path):
@@ -92,10 +151,12 @@ class TestCorruption:
             read_tensors(path)
 
     def test_unsupported_version(self, tmp_path):
+        # version 1 held per-head attention projections; it is not read
         path = tmp_path / "t.ckpt"
-        path.write_bytes(self._with_crc(b"LIFTCKPT" + struct.pack("<II", 2, 0)))
-        with pytest.raises(FormatError, match="version"):
-            read_tensors(path)
+        for version in (1, 3):
+            path.write_bytes(self._with_crc(b"LIFTCKPT" + struct.pack("<II", version, 0)))
+            with pytest.raises(FormatError, match="version"):
+                read_tensors(path)
 
     def test_unknown_dtype_code(self, tmp_path):
         path = tmp_path / "t.ckpt"
@@ -181,6 +242,15 @@ class TestModelCheckpoints:
         tensors["who.is.this"] = np.zeros(3, dtype=np.float32)
         write_tensors(path, tensors)
         with pytest.raises(FormatError, match="unexpected"):
+            load_checkpoint(path, make_params(seed=2))
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_params(seed=1), None, path)
+        raw = bytearray(path.read_bytes()[:-4])
+        raw[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
+        with pytest.raises(FormatError, match="version 1"):
             load_checkpoint(path, make_params(seed=2))
 
     def test_params_only_file_cannot_restore_optimizer(self, tmp_path):

@@ -198,9 +198,10 @@ class TestGradcheck:
         code, out, _ = run_cli(["gradcheck"], capsys)
         assert code == 0
         rows = [l for l in out.splitlines() if l.startswith("gradcheck.")]
-        assert len(rows) == 20  # 19 primitives + composed head
+        assert len(rows) == 25  # 19 primitives, 4 N-D forms, 2 composed heads
         assert all(r.endswith("\tpass") for r in rows)
         assert any(r.startswith("gradcheck.composed_head\t") for r in rows)
+        assert any(r.startswith("gradcheck.composed_head_batch3\t") for r in rows)
 
     def test_fault_injection_exits_three(self, capsys):
         code, out, err = run_cli(["gradcheck", "--inject-fault", "matmul"], capsys)

@@ -50,15 +50,17 @@ class TestTransformerParams:
 
 class TestTransformerFlops:
     def test_matches_live_matmul_trace(self, monkeypatch):
-        """Count 2*m*k*n over every matmul of one eval forward; the closed
-        form must reproduce the trace exactly."""
+        """Count 2*m*k*n per product over every matmul of one eval forward
+        (a batched matmul is one product per leading index); the closed form
+        must reproduce the trace exactly."""
         counted = [0]
         real_matmul = T.matmul
 
         def counting_matmul(a, b):
-            m, k = a.shape
-            _, n = b.shape
-            counted[0] += 2 * m * k * n
+            products = int(np.prod(a.shape[:-2], dtype=np.int64))
+            m, k = a.shape[-2:]
+            n = b.shape[-1]
+            counted[0] += 2 * products * m * k * n
             return real_matmul(a, b)
 
         monkeypatch.setattr(T, "matmul", counting_matmul)

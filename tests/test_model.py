@@ -3,6 +3,8 @@ numpy references, structural invariances, and end-to-end gradient checks."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lifthead.blocks as B
 import lifthead.model as M
@@ -45,9 +47,13 @@ def np_layer_norm(x, gamma, beta, eps=1e-5):
 
 
 def np_mha(p, q, k, v):
+    """Per-head loop; head i uses columns [i*d/h, (i+1)*d/h) of q, k, v."""
+    dk = p.q.weight.shape[1] // p.h
     outs = []
-    for wq, wk, wv in p.heads:
-        qi, ki, vi = np_linear(wq, q), np_linear(wk, k), np_linear(wv, v)
+    for i in range(p.h):
+        cols = slice(i * dk, (i + 1) * dk)
+        qi, ki, vi = (x @ lp.weight.data[:, cols] + lp.bias.data[cols]
+                      for x, lp in ((q, p.q), (k, p.k), (v, p.v)))
         att = np_softmax(qi @ ki.T / np.sqrt(p.scale_dim))
         outs.append(att @ vi)
     return np_linear(p.out, np.concatenate(outs, axis=1))
@@ -60,6 +66,25 @@ def np_ffn(p, x):
 
 def np_stage(mha_out, residual, ln):
     return np.maximum(np_layer_norm(mha_out + residual, ln.gamma.data, ln.beta.data), 0)
+
+
+def np_forward(cfg, params, feats, patch_indices=None):
+    """One sample through the whole head in plain numpy."""
+    t = params.templates
+    keep = list(range(cfg.n_patches)) if patch_indices is None else list(patch_indices)
+    e2d = np_linear(t.input_proj, feats[keep]) + t.pos_enc.data[keep]
+    joints, types = M.template_row_indices(cfg)
+    e3d = t.joint_emb.data[joints] + t.type_emb.data[types]
+    for blk in params.blocks:
+        e2d = np_ffn(blk.ffn_2d, np_stage(np_mha(blk.mha_2d, e2d, e2d, e2d), e2d, blk.ln_2d))
+        e3d_t = np_stage(np_mha(blk.mha_3d, e3d, e3d, e3d), e3d, blk.ln_3d)
+        e3d = np_ffn(blk.ffn_3d, np_stage(
+            np_mha(blk.mha_cross, e3d_t, e2d, e2d), e3d_t, blk.ln_cross))
+    nj, nt = cfg.n_joints, cfg.n_twists
+    twist = np_linear(params.proj_twist, e3d[nj:nj + nt])
+    return (np_linear(params.proj_kpt, e3d[:nj]),
+            twist / np.linalg.norm(twist, axis=1, keepdims=True),
+            np_linear(params.proj_beta, e3d[nj + nt:])[0])
 
 
 # ------------------------------------------------------------------- config
@@ -321,6 +346,59 @@ class TestOutputs:
         np.testing.assert_allclose(out.beta.data, out_sub.beta.data, atol=1e-12)
 
 
+# ------------------------------------------------------------------ batches
+
+class TestBatchedForward:
+    @given(h=st.sampled_from([1, 2, 4]), batch=st.integers(1, 3),
+           n_patches=st.integers(2, 5), subset=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_per_sample_numpy_oracle(self, h, batch, n_patches, subset, seed):
+        cfg = tiny_cfg(h=h, n_patches=n_patches)
+        params = make_head(cfg, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        for _, t in params.named_parameters():
+            t.data = t.data + rng.uniform(-0.1, 0.1, size=t.shape)
+        feats = rng.standard_normal((batch, n_patches, cfg.c_in))
+        idx = sorted(rng.choice(n_patches, size=n_patches - 1, replace=False)) if subset else None
+        out = M.forward(cfg, params, Tensor(feats), patch_indices=idx)
+        assert out.keypoints.shape == (batch, 24, 3)
+        assert out.twists.shape == (batch, 23, 2)
+        assert out.beta.shape == (batch, 10)
+        for s in range(batch):
+            kpt, twists, beta = np_forward(cfg, params, feats[s], idx)
+            np.testing.assert_allclose(out.keypoints.data[s], kpt, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(out.twists.data[s], twists, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(out.beta.data[s], beta, rtol=0, atol=1e-10)
+
+    def test_single_sample_is_batch_of_one(self):
+        cfg = tiny_cfg()
+        params = make_head(cfg, seed=2)
+        feats = rand_features(cfg, seed=3)
+        single = M.forward(cfg, params, feats)
+        batched = M.forward(cfg, params, Tensor(feats.data[None]))
+        for a, b in ((single.keypoints, batched.keypoints),
+                     (single.twists, batched.twists), (single.beta, batched.beta)):
+            np.testing.assert_array_equal(a.data, b.data[0])
+
+    def test_features_must_be_matrix_or_batch(self):
+        cfg = tiny_cfg()
+        params = make_head(cfg)
+        with pytest.raises(T.ShapeError, match="features"):
+            M.forward(cfg, params, Tensor(np.zeros((1, 1, cfg.n_patches, cfg.c_in))))
+
+    def test_degenerate_twist_names_sample_and_row(self):
+        cfg = tiny_cfg()
+        e = np.random.default_rng(0).standard_normal((2 * 48, cfg.d))
+        proj_twist = B.LinearParams(Tensor(np.zeros((cfg.d, 2))), Tensor(np.ones(2)))
+        kpt = B.LinearParams(Tensor(np.zeros((cfg.d, 3))), Tensor(np.zeros(3)))
+        beta = B.LinearParams(Tensor(np.zeros((cfg.d, 10))), Tensor(np.zeros(10)))
+        e[48 + 24 + 5] = 0.0  # sample 1, twist row 5
+        proj_twist.weight.data[:, 0] = 1.0
+        proj_twist.bias.data = np.array([0.0, 0.0])
+        with pytest.raises(NormalizationDegenerateError, match="sample 1 twist row 5"):
+            M.project_outputs(Tensor(e), kpt, proj_twist, beta, batch=2)
+
+
 # ------------------------------------------------------------------- params
 
 class TestParameterRegistry:
@@ -331,7 +409,8 @@ class TestParameterRegistry:
         assert len(names) == len(set(names))
         assert names == [n for n, _ in params.named_parameters()]
         assert "templates.joint_emb" in names
-        assert "blocks.0.mha_2d.heads.0.q.weight" in names
+        assert "blocks.0.mha_2d.q.weight" in names
+        assert not any(".heads." in n for n in names)
         assert "blocks.1.ffn_3d.layers.2.bias" in names
         assert "proj_beta.bias" in names
 

@@ -32,6 +32,47 @@ class TestMatmul:
         err = primitive_checks(seed=3)["matmul"](0.0)
         assert err < 1e-6
 
+    def test_batched_forms_match_numpy(self):
+        rng = np.random.default_rng(0)
+        a, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(2, 4, 5))
+        np.testing.assert_array_equal(T.matmul(t64(a), t64(w)).data, a @ w)
+        np.testing.assert_array_equal(T.matmul(t64(a), t64(b)).data, a @ b)
+
+    def test_shared_matrix_gradient_sums_over_the_batch(self):
+        rng = np.random.default_rng(1)
+        a, w = t64(rng.normal(size=(2, 3, 4)), grad=True), t64(rng.normal(size=(4, 5)), grad=True)
+        with T.Tape() as tape:
+            loss = T.sum_(T.matmul(a, w))
+        T.backward(loss, tape)
+        np.testing.assert_allclose(w.grad, sum(a.data[i].T @ np.ones((3, 5)) for i in range(2)),
+                                   rtol=0, atol=1e-12)
+
+    def test_leading_dims_must_match(self):
+        with pytest.raises(T.ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+            T.matmul(t64(np.zeros((2, 3, 4))), t64(np.zeros((3, 4, 5))))
+        with pytest.raises(T.ShapeError):
+            T.matmul(t64(np.zeros((3, 4))), t64(np.zeros((2, 4, 5))))
+
+
+class TestTranspose:
+    def test_default_transposes_matrix(self):
+        x = np.arange(6.0).reshape(2, 3)
+        np.testing.assert_array_equal(T.transpose(t64(x)).data, x.T)
+
+    def test_axes_permutation_and_inverse_gradient(self):
+        x = t64(np.arange(24.0).reshape(2, 3, 4), grad=True)
+        w = np.random.default_rng(2).normal(size=(4, 2, 3))
+        with T.Tape() as tape:
+            y = T.transpose(x, (2, 0, 1))
+            loss = T.sum_(T.mul(y, t64(w)))
+        np.testing.assert_array_equal(y.data, x.data.transpose(2, 0, 1))
+        T.backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, w.transpose(1, 2, 0))
+
+    def test_not_a_permutation(self):
+        with pytest.raises(T.ShapeError, match="permutation"):
+            T.transpose(t64(np.zeros((2, 3, 4))), (0, 0, 1))
+
 
 class TestSoftmaxRows:
     def test_zero_row_uniform(self):
@@ -51,6 +92,12 @@ class TestSoftmaxRows:
         assert np.isfinite(out.data).all()
         # 64-bit oracle with max subtraction: exp(0)=1, exp(-1000) underflows
         np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-300)
+
+    def test_last_axis_of_a_stack(self):
+        x = np.random.default_rng(3).normal(size=(2, 3, 5))
+        out = T.softmax_rows(t64(x)).data
+        for i in range(2):
+            np.testing.assert_array_equal(out[i], T.softmax_rows(t64(x[i])).data)
 
     @given(arrays(np.float64, (2, 6), elements=st.floats(-50, 50)))
     @settings(max_examples=50, deadline=None)

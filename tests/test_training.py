@@ -376,6 +376,57 @@ class TestTrainLoop:
             train(head_cfg, params, [], TrainConfig(epochs=1))
 
 
+class TestBatchedStep:
+    def test_tape_entries_independent_of_batch_and_heads(self, monkeypatch):
+        counts = []
+        real_backward = TR.backward
+
+        def counting_backward(total, tape):
+            counts[-1].append(len(tape.entries))
+            real_backward(total, tape)
+
+        monkeypatch.setattr(TR, "backward", counting_backward)
+        for batch in (1, 4, 16):
+            for h in (1, 2, 4):
+                counts.append([])
+                head_cfg = tiny_cfg(h=h)
+                params = M.init_head(head_cfg, np.random.default_rng(0))
+                data = generate(batch, SyntheticGen(seed=1, n_patches=16, c_in=32))
+                train(head_cfg, params, data,
+                      TrainConfig(epochs=2, batch_size=batch, warmup_steps=10,
+                                  min_keep_patches=4, dropout=0.1))
+        assert [len(c) for c in counts] == [2] * 9
+        assert len({n for c in counts for n in c}) == 1, counts
+
+    def test_batch_gradient_is_mean_of_sample_gradients(self):
+        head_cfg = tiny_cfg(n_patches=6, c_in=24, d=8)
+        params = M.init_head(head_cfg, np.random.default_rng(4), dtype=np.float64)
+        jitter = np.random.default_rng(5)
+        for _, t in params.named_parameters():
+            t.data = t.data + jitter.uniform(-0.05, 0.05, size=t.shape)
+        gen = SyntheticGen(seed=2, n_patches=6, c_in=24)
+        samples = [(Tensor(f.data, dtype=np.float64),
+                    pose_output_from_arrays(t.keypoints.data, t.twists.data, t.beta.data,
+                                            dtype=np.float64))
+                   for f, t in generate(3, gen)]
+        subset = [0, 2, 3, 5]
+
+        def grads(batch):
+            features, targets = TR.stack_samples(batch)
+            with Tape() as tape:
+                out = M.forward(head_cfg, params, features, patch_indices=subset)
+                backward(loss(out, targets, w_kpt=2.0, w_twist=0.5), tape)
+            g = {n: t.grad for n, t in params.named_parameters()}
+            params.zero_grad()
+            return g
+
+        batched = grads(samples)
+        singles = [grads([s]) for s in samples]
+        for name, g in batched.items():
+            np.testing.assert_allclose(g, np.mean([s[name] for s in singles], axis=0),
+                                       rtol=0, atol=1e-10, err_msg=name)
+
+
 class TestMetricsText:
     def test_format(self):
         text = metrics_to_text([StepMetrics(1, 0, 5e-4, 0.25, 12.5),
