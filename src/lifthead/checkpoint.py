@@ -147,8 +147,9 @@ def load_checkpoint(path, params: HeadParams,
                     ) -> tuple[HeadParams, Optional[AdamState]]:
     """Load a checkpoint into existing structures (shape-checked by name).
 
-    Pass an AdamState to restore optimizer moments too; a checkpoint saved
-    without them then fails with FormatError.
+    Pass an AdamState to restore optimizer moments too; they are written
+    into its moment views in place. A checkpoint saved without them then
+    fails with FormatError.
     """
     tensors = read_tensors(path)
     for name, t in params.named_parameters():
@@ -158,7 +159,10 @@ def load_checkpoint(path, params: HeadParams,
         if arr.shape != t.shape:
             raise FormatError(
                 f"{path}: tensor {name} has shape {arr.shape}, expected {t.shape}")
-        t.data = arr.astype(t.data.dtype, copy=False)
+        if opt_state is not None and t.data is opt_state.bound.get(name):
+            t.data[...] = arr  # stays the arena view that adam_step updates
+        else:
+            t.data = arr.astype(t.data.dtype, copy=False)
         t.grad = None
     if opt_state is not None:
         if "adam.step" not in tensors:
@@ -174,7 +178,7 @@ def load_checkpoint(path, params: HeadParams,
                     raise FormatError(
                         f"{path}: tensor {key} has shape {arr.shape}, "
                         f"expected {store[name].shape}")
-                store[name] = arr.astype(store[name].dtype, copy=False)
+                store[name][...] = arr
     unexpected = [k for k in tensors if not k.startswith("adam.")]
     if unexpected:
         raise FormatError(f"{path}: unexpected tensors {unexpected[:5]}")

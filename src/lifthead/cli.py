@@ -5,7 +5,9 @@ layers (built-in defaults, then --profile, then --config file, then flags)
 and the fully resolved configuration is echoed to stdout before anything
 runs. Stdout stays tab-separated key/value (or column) lines; free-form
 diagnostics go to stderr. Exit codes: 0 success, 1 configuration or
-checkpoint error, 2 non-finite training loss, 3 gradient check failure.
+checkpoint error or a degenerate eval output (a twist projection of
+near-zero length, reported as "degenerate output: ..."), 2 non-finite
+training loss or gradient, 3 gradient check failure.
 """
 
 from __future__ import annotations
@@ -339,6 +341,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "params":
             return cmd_params(cfg)
         return cmd_schedule(cfg, args.steps)
+    except M.NormalizationDegenerateError as e:
+        print(f"degenerate output: {e}", file=sys.stderr)
+        return 1
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -106,10 +106,12 @@ def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
     w_resh = r(15)
     drop_seed = int(rng.integers(1 << 30))
     # batched forms: a (2, 3, 4) stack against a shared (4, 5) matrix and
-    # against a (2, 4, 5) stack; an axes permutation; softmax on the last axis
+    # against a (2, 4, 5) stack; an axes permutation; softmax on the last
+    # axis, whose width 7 makes the halving row max fold an odd column twice
+    # (7 -> 3 -> 1), as width 5 does in the 2-D check
     x234, b45, b245 = r(2, 3, 4), r(4, 5), r(2, 4, 5)
     w235, w423 = r(2, 3, 5), r(4, 2, 3)
-    w234 = r(2, 3, 4)
+    x237, w237 = r(2, 3, 7), r(2, 3, 7)
 
     checks = {
         "matmul": lambda fault=0.0: check_op(
@@ -166,7 +168,7 @@ def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
         "transpose_axes": lambda fault=0.0: check_op(
             lambda t: _weighted(T.transpose(t[0], (2, 0, 1)), w423), [x234], fault),
         "softmax_last_axis": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.softmax_rows(t[0]), w234), [x234], fault),
+            lambda t: _weighted(T.softmax_rows(t[0]), w237), [x237], fault),
     }
     return checks
 

@@ -9,7 +9,7 @@ import copy
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -27,14 +27,22 @@ EVAL_BATCH = 64
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when the loss stops being finite."""
+    """Raised when the loss or a gradient stops being finite; for a
+    gradient, ``parameter`` names the first parameter holding a non-finite
+    value."""
 
-    def __init__(self, step: int, lr: float, loss_value: float):
+    def __init__(self, step: int, lr: float, loss_value: Optional[float] = None,
+                 parameter: Optional[str] = None):
         self.step = step
         self.lr = lr
         self.loss_value = loss_value
-        super().__init__(
-            f"non-finite loss at step {step}: loss={loss_value}, lr={lr:.3e}")
+        self.parameter = parameter
+        if parameter is None:
+            msg = f"non-finite loss at step {step}: loss={loss_value}, lr={lr:.3e}"
+        else:
+            msg = (f"non-finite gradient at step {step}: parameter {parameter}, "
+                   f"lr={lr:.3e}")
+        super().__init__(msg)
 
 
 @dataclass
@@ -76,42 +84,158 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
                             math.sqrt(cfg.warmup_steps / step))
 
 
+def _pack(tensors: Sequence[Tensor]) -> np.ndarray:
+    """One contiguous copy of the tensors' values, in order."""
+    if not tensors:
+        raise ValueError("no parameters to pack")
+    dtypes = {t.data.dtype for t in tensors}
+    if len(dtypes) > 1:
+        raise ValueError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
+    return np.concatenate([t.data.reshape(-1) for t in tensors])
+
+
+def _views(flat: np.ndarray, tensors: Sequence[Tensor]) -> list[np.ndarray]:
+    """Views of flat, shaped like each tensor, in the order _pack lays them out."""
+    ends = np.cumsum([t.size for t in tensors])
+    return [flat[end - t.size:end].reshape(t.shape) for t, end in zip(tensors, ends)]
+
+
+# elements per chunk of the passes over flat parameter buffers (adam_step,
+# average_checkpoints): a chunk of the gradient, the moments, the parameters
+# and two temporaries stays in a 2 MB L2 cache, where whole-buffer passes
+# would stream each array from memory once per operation
+ADAM_CHUNK = 1 << 16
+
+
 @dataclass
 class AdamState:
-    """First/second moment estimates keyed by parameter name."""
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Adam moments over a flat parameter arena.
+
+    init copies the parameters into one contiguous buffer, ``arena``, and
+    rebinds each parameter's .data to its view of it; ``m_flat`` and
+    ``v_flat`` share that layout. ``m`` and ``v`` map parameter names to
+    views of the moment buffers (the checkpoint's ``adam.m.<name>`` and
+    ``adam.v.<name>``), so they must be written in place.
+    """
+    names: list[str]
+    arena: np.ndarray
+    m_flat: np.ndarray
+    v_flat: np.ndarray
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    bound: dict[str, np.ndarray]  # name -> the arena view the parameter holds
+    # per ADAM_CHUNK-element chunk of the arena, the pieces of the
+    # parameters that make it up: (parameter index, None) for a whole
+    # parameter, (parameter index, slice) for part of a flattened one
+    chunks: list[list[tuple[int, Optional[slice]]]]
     step: int = 0
 
     @classmethod
-    def init(cls, params: HeadParams) -> "AdamState":
-        state = cls()
-        for name, t in params.named_parameters():
-            state.m[name] = np.zeros_like(t.data)
-            state.v[name] = np.zeros_like(t.data)
-        return state
+    def init(cls, params) -> "AdamState":
+        """Pack params (a HeadParams, or (name, Tensor) pairs) into a new
+        arena with zero moments."""
+        named = list(params.named_parameters() if hasattr(params, "named_parameters")
+                     else params)
+        names = [n for n, _ in named]
+        tensors = [t for _, t in named]
+        arena = _pack(tensors)
+        m_flat = np.zeros(arena.shape, arena.dtype)
+        v_flat = np.zeros(arena.shape, arena.dtype)
+        bound = dict(zip(names, _views(arena, tensors)))
+        for name, t in named:
+            t.data = bound[name]
+        chunks = [[] for _ in range(0, arena.size, ADAM_CHUNK)]
+        start = 0
+        for i, t in enumerate(tensors):
+            end = start + t.size
+            for k in range(start // ADAM_CHUNK, -(-end // ADAM_CHUNK)):
+                lo, hi = k * ADAM_CHUNK, (k + 1) * ADAM_CHUNK
+                whole = lo <= start and end <= hi
+                chunks[k].append((i, None if whole else
+                                  slice(max(lo, start) - start, min(hi, end) - start)))
+            start = end
+        return cls(names=names, arena=arena, m_flat=m_flat, v_flat=v_flat,
+                   m=dict(zip(names, _views(m_flat, tensors))),
+                   v=dict(zip(names, _views(v_flat, tensors))), bound=bound,
+                   chunks=chunks)
 
 
 def adam_step(named_params: Iterable[tuple[str, Tensor]], state: AdamState,
               lr: float) -> None:
     """One Adam update with bias correction; consumes and clears gradients.
 
-    Every parameter must carry a gradient (zero counts, None does not).
+    The parameters must be those state was initialised from, in the same
+    order, each still holding its arena view. Every parameter must carry a
+    gradient (zero counts, None does not). A non-finite gradient raises
+    TrainingAborted before any parameter, moment or the step count changes.
+
+    The update runs chunk by chunk over the arena. A chunk's gradient is a
+    view of one parameter's gradient where the chunk lies within it, and is
+    otherwise gathered with one np.concatenate: once to check that it is
+    finite and (except for the last chunk) again to apply the update.
     """
     params = list(named_params)
-    for name, t in params:
+    if len(params) != len(state.names):
+        raise ValueError(f"{len(params)} parameters, but the Adam state holds "
+                         f"{len(state.names)}")
+    for (name, t), want in zip(params, state.names):
+        if name != want:
+            raise ValueError(f"parameter {name} is not the Adam state's {want}")
         if t.grad is None:
             raise ValueError(f"parameter {name} has no gradient")
+        if t.data is not state.bound[name]:
+            raise ValueError(f"parameter {name} no longer holds its view of the Adam "
+                             f"arena; call AdamState.init again")
+    grads = [t.grad for _, t in params]
+    n = state.arena.size
+    buf = np.empty(min(n, ADAM_CHUNK), dtype=state.arena.dtype)
+
+    def gather(k):
+        pieces = state.chunks[k]
+        if len(pieces) == 1:  # within one parameter: a view of its gradient
+            i, part = pieces[0]
+            return grads[i].reshape(-1)[part or slice(None)]
+        return np.concatenate(
+            [grads[i] if part is None else grads[i].reshape(-1)[part]
+             for i, part in pieces],
+            axis=None, out=buf[:min(n - k * ADAM_CHUNK, ADAM_CHUNK)])
+
+    for k in range(len(state.chunks)):
+        g = gather(k)
+        if not np.isfinite(g).all():
+            bad = next(name for name, t in params if not np.isfinite(t.grad).all())
+            raise TrainingAborted(state.step + 1, lr, parameter=bad)
     state.step += 1
     b1c = 1.0 - ADAM_BETA1 ** state.step
     b2c = 1.0 - ADAM_BETA2 ** state.step
-    for name, t in params:
-        g = t.grad
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[name] / b1c
-        v_hat = state.v[name] / b2c
-        t.data = t.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    tmp, den = np.empty_like(buf), np.empty_like(buf)
+    # the per-tensor update's operations, in its order, applied in place:
+    #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+    #   p = p - lr (m / b1c) / (sqrt(v / b2c) + eps)
+    # last chunk first: the check above left its gradient in g
+    last = len(state.chunks) - 1
+    for k in range(last, -1, -1):
+        if k < last:
+            g = gather(k)
+        lo = k * ADAM_CHUNK
+        hi = lo + g.size
+        m, v, p = state.m_flat[lo:hi], state.v_flat[lo:hi], state.arena[lo:hi]
+        t1, t2 = tmp[:g.size], den[:g.size]
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
+        m += t1
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=t1)
+        t1 *= 1.0 - ADAM_BETA2
+        v += t1
+        np.divide(v, b2c, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += ADAM_EPS
+        np.divide(m, b1c, out=t1)
+        t1 *= lr
+        t1 /= t2
+        p -= t1
+    for _, t in params:
         t.grad = None
 
 
@@ -144,31 +268,51 @@ def loss(pred: PoseOutput, target: PoseOutput, *, w_kpt: float = 1.0,
                  T.scale(l_beta, w_beta))
 
 
-def average_checkpoints(param_sets: Sequence[HeadParams]) -> HeadParams:
+def average_checkpoints(param_sets: Sequence, like: Optional[HeadParams] = None
+                        ) -> HeadParams:
     """Elementwise mean of the parameter sets.
 
-    Computed as first + mean(others - first): deviations between nearby
-    checkpoints are small, and identical inputs average to themselves
-    bit-for-bit.
+    Each set is a HeadParams or, with ``like`` given, a flat array laid out
+    as AdamState packs ``like``'s parameters. Computed as first +
+    mean(others - first): deviations between nearby checkpoints are small,
+    and identical inputs average to themselves bit-for-bit. The result is
+    shaped like ``like`` (default: the first set), its tensors views of one
+    new buffer.
     """
     if not param_sets:
         raise ValueError("average_checkpoints needs at least one parameter set")
-    names0 = [(n, t.shape) for n, t in param_sets[0].named_parameters()]
-    for ps in param_sets[1:]:
-        names = [(n, t.shape) for n, t in ps.named_parameters()]
-        if names != names0:
-            raise ValueError("parameter sets have mismatched structure")
-    out = copy.deepcopy(param_sets[0])
-    others = [dict(ps.named_parameters()) for ps in param_sets[1:]]
-    n = len(param_sets)
-    for name, t in out.named_parameters():
-        base = t.data
-        delta = np.zeros_like(base)
-        for ps in others:
-            delta = delta + (ps[name].data - base)
-        t.data = base + delta / n
-        t.grad = None
-    return out
+    if like is None:
+        like = param_sets[0]
+        names0 = [(n, t.shape) for n, t in like.named_parameters()]
+        for ps in param_sets[1:]:
+            names = [(n, t.shape) for n, t in ps.named_parameters()]
+            if names != names0:
+                raise ValueError("parameter sets have mismatched structure")
+        flats = [_pack([t for _, t in ps.named_parameters()]) for ps in param_sets]
+    else:
+        size = like.parameter_count()
+        if any(f.shape != (size,) for f in param_sets):
+            raise ValueError(f"flat parameter sets must have shape ({size},)")
+        flats = param_sets
+    # by chunks, so that the temporaries stay in cache and only the result
+    # is a new full-size buffer
+    base = flats[0]
+    avg = np.empty_like(base)
+    for lo in range(0, base.size, ADAM_CHUNK):
+        chunk = slice(lo, lo + ADAM_CHUNK)
+        delta = np.zeros_like(base[chunk])
+        for other in flats[1:]:
+            delta += other[chunk] - base[chunk]
+        np.add(base[chunk], delta / len(flats), out=avg[chunk])
+    tensors = [t for _, t in like.named_parameters()]
+    # one structural copy: the memo hands deepcopy the averaged views in
+    # place of the values and drops the gradients, so no array is copied
+    memo = {}
+    for t, view in zip(tensors, _views(avg, tensors)):
+        memo[id(t.data)] = view
+        if t.grad is not None:
+            memo[id(t.grad)] = None
+    return copy.deepcopy(like, memo)
 
 
 @dataclass
@@ -215,15 +359,19 @@ def train(head_cfg: HeadConfig, params: HeadParams,
     kept per epoch; the returned model is the elementwise mean of the last
     avg_last_epochs snapshots. With checkpoint_dir set, per-epoch and
     averaged checkpoints are also written to disk. A non-finite loss aborts
-    with step/lr/loss in the error.
+    with step/lr/loss in the error, a non-finite gradient with
+    step/lr/parameter. params are first packed into a new Adam arena, so
+    on return their .data are views of one buffer.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
     from . import checkpoint as C
 
     rng = np.random.default_rng(cfg.seed)
+    # packs params into the arena on every call: callers may rebind .data
     state = AdamState.init(params)
-    snapshots: deque[HeadParams] = deque(maxlen=cfg.avg_last_epochs)
+    named = list(params.named_parameters())
+    snapshots: deque[np.ndarray] = deque(maxlen=cfg.avg_last_epochs)
     metrics: list[StepMetrics] = []
     step = 0
     n = len(dataset)
@@ -249,15 +397,16 @@ def train(head_cfg: HeadConfig, params: HeadParams,
                 if not math.isfinite(loss_value):
                     raise TrainingAborted(step, lr, loss_value)
                 backward(total, tape)
-            adam_step(params.named_parameters(), state, lr)
+            adam_step(named, state, lr)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             metrics.append(StepMetrics(step, epoch, lr, loss_value, wall_ms))
-        snapshots.append(copy.deepcopy(params))
+        snapshots.append(state.arena.copy())
         if checkpoint_dir is not None:
             C.save_checkpoint(params, state,
                               f"{checkpoint_dir}/epoch_{epoch:04d}.ckpt")
 
-    averaged = average_checkpoints(list(snapshots)) if snapshots else params
+    averaged = (average_checkpoints(list(snapshots), like=params) if snapshots
+                else params)
     if checkpoint_dir is not None and snapshots:
         C.save_checkpoint(averaged, None, f"{checkpoint_dir}/averaged.ckpt")
     if metrics_path is not None:

@@ -331,6 +331,19 @@ class TestEval:
                                capsys)
         assert code == 1 and "checksum" in err.lower()
 
+    def test_degenerate_twist_output_has_its_own_message(self, capsys, tmp_path):
+        out_dir = self.run_train(capsys, tmp_path)
+        params = M.init_head(micro_cfg(), np.random.default_rng(0))
+        C.load_checkpoint(out_dir / "averaged.ckpt", params)
+        for t in (params.proj_twist.weight, params.proj_twist.bias):
+            t.data = np.zeros_like(t.data)
+        path = tmp_path / "collapsed.ckpt"
+        C.save_checkpoint(params, None, path)
+        code, _, err = run_cli(["eval", *MICRO, "--checkpoint", str(path)], capsys)
+        assert code == 1
+        assert "degenerate output: sample 0 twist row 0" in err
+        assert "config error" not in err
+
     def test_architecture_mismatch_exits_one(self, capsys, tmp_path):
         out_dir = self.run_train(capsys, tmp_path)
         code, _, err = run_cli(["eval", *MICRO, "--d", "32",

@@ -287,3 +287,118 @@ class TestNormalizeRows:
             lambda t: T.sum_(T.normalize_rows(t[0], eps=1.0)),
             [np.array([[1e-3, -2e-3]])])
         assert err < 1e-6
+
+
+# The formulas the BLAS-sum and halving-max kernels replaced, kept as the
+# reference: float32 results may round differently, float64 agrees to 1e-12.
+
+def ref_softmax(x, g):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def ref_layer_norm(x, gamma, beta, g, eps=1e-5):
+    mu = x.mean(axis=1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    gxhat = g * gamma
+    dx = inv_std * (gxhat - gxhat.mean(axis=1, keepdims=True)
+                    - xhat * (gxhat * xhat).mean(axis=1, keepdims=True))
+    return xhat * gamma + beta, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def grads_of(fn, *arrays):
+    """Forward value and input gradients of fn under a random readout."""
+    leaves = [t64(a, grad=True) for a in arrays]
+    with T.Tape() as tape:
+        out = fn(*leaves)
+        w = np.random.default_rng(7).standard_normal(out.shape)
+        T.backward(T.sum_(T.mul(out, t64(w))), tape)
+    return out.data, w, [leaf.grad for leaf in leaves]
+
+
+MAX_WIDTHS = (1, 2, 3, 5, 47, 48)
+lead_dims = st.lists(st.integers(1, 4), min_size=0, max_size=3)
+
+
+class TestFastKernels:
+    @given(lead=lead_dims, w=st.sampled_from(MAX_WIDTHS), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_halving_max_is_exact(self, lead, w, seed):
+        x = np.random.default_rng(seed).standard_normal(tuple(lead) + (w,))
+        for arr in (x, x.astype(np.float32)):
+            got = T._row_max(arr)
+            assert got.shape == arr.shape[:-1] + (1,)
+            np.testing.assert_array_equal(got, arr.max(axis=-1, keepdims=True))
+
+    def test_halving_max_propagates_nan_and_rejects_empty(self):
+        x = np.zeros((2, 7))
+        x[1, 6] = np.nan  # the odd column, folded in at the first level
+        assert np.isnan(T._row_max(x)[1, 0]) and T._row_max(x)[0, 0] == 0.0
+        with pytest.raises(T.ShapeError, match="empty"):
+            T._row_max(np.zeros((3, 0)))
+
+    @given(lead=lead_dims, w=st.sampled_from(MAX_WIDTHS), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_softmax_matches_reference_float64(self, lead, w, seed):
+        x = 3.0 * np.random.default_rng(seed).standard_normal(tuple(lead) + (w,))
+        y, w_out, (dx,) = grads_of(T.softmax_rows, x)
+        ref_y, ref_dx = ref_softmax(x, w_out)
+        np.testing.assert_allclose(y, ref_y, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+
+    @given(rows=st.integers(1, 40), n=st.integers(2, 70), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_layer_norm_matches_reference_float64(self, rows, n, seed):
+        rng = np.random.default_rng(seed)
+        x, gamma, beta = rng.standard_normal((rows, n)), rng.standard_normal(n), rng.standard_normal(n)
+        out, w_out, (dx, dgamma, dbeta) = grads_of(T.layer_norm, x, gamma, beta)
+        ref = ref_layer_norm(x, gamma, beta, w_out)
+        for got, want in zip((out, dx, dgamma, dbeta), ref):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @given(rows=st.integers(1, 40), n=st.integers(1, 70), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_bias_gradient_matches_reference_float64(self, rows, n, seed):
+        rng = np.random.default_rng(seed)
+        out, w_out, (_, dbias) = grads_of(T.add, rng.standard_normal((rows, n)),
+                                          rng.standard_normal(n))
+        np.testing.assert_allclose(dbias, w_out.sum(axis=0), rtol=1e-12, atol=1e-12)
+
+    def test_relu_matches_where_and_propagates_nan(self):
+        x = np.random.default_rng(0).standard_normal((64, 33)).astype(np.float32)
+        np.testing.assert_array_equal(T.relu(T.Tensor(x)).data, np.where(x > 0, x, 0))
+        x[3, 4] = np.nan
+        out = T.relu(T.Tensor(x)).data
+        assert np.isnan(out[3, 4]) and np.isnan(out).sum() == 1
+
+    def test_softmax_nan_stays_in_its_row(self):
+        x = np.zeros((3, 5))
+        x[1, 2] = np.nan
+        y = T.softmax_rows(t64(x)).data
+        assert np.isnan(y[1]).all()
+        np.testing.assert_array_equal(y[[0, 2]], np.full((2, 5), 0.2))
+
+    @pytest.mark.parametrize("indices", [[0, 2, 3, 5], [4], [], [3, 1, 2], [2, 0, 2, 1]])
+    def test_gather_rows_backward_matches_add_at(self, indices):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((6, 4)).astype(np.float32)
+        g = rng.standard_normal((len(indices), 4)).astype(np.float32)
+        xt = T.Tensor(x, requires_grad=True)
+        with T.Tape() as tape:
+            out = T.gather_rows(xt, indices)
+            T.backward(T.sum_(T.mul(out, T.Tensor(g))), tape)
+        want = np.zeros_like(x)
+        np.add.at(want, np.asarray(indices, dtype=np.intp), g)
+        np.testing.assert_array_equal(xt.grad, want)
+
+    def test_dropout_factor_bit_identical_to_float64_division(self):
+        x = np.random.default_rng(2).standard_normal((32, 17)).astype(np.float32)
+        for p in (0.1, 0.3, 0.5):
+            out = T.dropout(T.Tensor(x), p, np.random.default_rng(5), training=True)
+            keep = np.random.default_rng(5).random(x.shape) >= p
+            np.testing.assert_array_equal(out.data, x * (keep / (1.0 - p)).astype(x.dtype))

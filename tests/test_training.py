@@ -69,11 +69,7 @@ def named_scalar(value, grad=None):
 
 
 def fresh_state(named):
-    state = AdamState()
-    for name, t in named:
-        state.m[name] = np.zeros_like(t.data)
-        state.v[name] = np.zeros_like(t.data)
-    return state
+    return AdamState.init(named)
 
 
 class TestAdam:
@@ -122,6 +118,137 @@ class TestAdam:
             assert state.m[name].shape == t.shape
             assert state.v[name].shape == t.shape
             assert not state.m[name].any()
+
+
+def per_tensor_adam(data, grads, m, v, step, lr):
+    """The per-tensor Adam loop the flat arena replaced, kept as the
+    reference: the flat update must match it bit for bit."""
+    b1c = 1.0 - TR.ADAM_BETA1 ** step
+    b2c = 1.0 - TR.ADAM_BETA2 ** step
+    for name, g in grads.items():
+        m[name] = TR.ADAM_BETA1 * m[name] + (1.0 - TR.ADAM_BETA1) * g
+        v[name] = TR.ADAM_BETA2 * v[name] + (1.0 - TR.ADAM_BETA2) * (g * g)
+        m_hat = m[name] / b1c
+        v_hat = v[name] / b2c
+        data[name] = data[name] - lr * m_hat / (np.sqrt(v_hat) + TR.ADAM_EPS)
+
+
+def random_grads(params, rng):
+    return {name: (rng.standard_normal(t.shape) * 10.0 ** rng.integers(-6, 2)
+                   ).astype(t.dtype) for name, t in params.named_parameters()}
+
+
+def set_grads(params, grads):
+    for name, t in params.named_parameters():
+        t.grad = grads[name].copy()
+
+
+def flat_snapshot(state):
+    return state.arena.copy(), state.m_flat.copy(), state.v_flat.copy()
+
+
+class TestFlatAdam:
+    # 777 splits parameters across chunks; 16 puts most chunks inside one
+    @pytest.mark.parametrize("chunk", [TR.ADAM_CHUNK, 777, 16])
+    def test_bit_identical_to_per_tensor_loop(self, monkeypatch, chunk):
+        monkeypatch.setattr(TR, "ADAM_CHUNK", chunk)
+        params = M.init_head(tiny_cfg(), np.random.default_rng(0))
+        data = {n: t.data.copy() for n, t in params.named_parameters()}
+        m = {n: np.zeros_like(a) for n, a in data.items()}
+        v = {n: np.zeros_like(a) for n, a in data.items()}
+        state = AdamState.init(params)
+        rng = np.random.default_rng(1)
+        for step in range(1, 6):
+            grads = random_grads(params, rng)
+            set_grads(params, grads)
+            lr = lr_at(step, TrainConfig(warmup_steps=3, max_lr=1e-2))
+            adam_step(params.named_parameters(), state, lr)
+            per_tensor_adam(data, grads, m, v, step, lr)
+        assert state.step == 5
+        for name, t in params.named_parameters():
+            np.testing.assert_array_equal(t.data, data[name])
+            np.testing.assert_array_equal(state.m[name], m[name])
+            np.testing.assert_array_equal(state.v[name], v[name])
+            assert t.grad is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_touches_nothing(self, monkeypatch, bad):
+        monkeypatch.setattr(TR, "ADAM_CHUNK", 1000)
+        params = M.init_head(tiny_cfg(), np.random.default_rng(0))
+        state = AdamState.init(params)
+        rng = np.random.default_rng(2)
+        set_grads(params, random_grads(params, rng))
+        adam_step(params.named_parameters(), state, 1e-3)
+        set_grads(params, random_grads(params, rng))
+        target = "blocks.1.ffn_3d.layers.2.weight"
+        dict(params.named_parameters())[target].grad[3, 4] = bad
+        before = flat_snapshot(state)
+        with pytest.raises(TrainingAborted, match=f"step 2: parameter {target}") as exc:
+            adam_step(params.named_parameters(), state, 1e-3)
+        assert exc.value.parameter == target and exc.value.step == 2
+        assert state.step == 1
+        for was, now in zip(before, flat_snapshot(state)):
+            np.testing.assert_array_equal(was, now)
+        assert all(t.grad is not None for _, t in params.named_parameters())
+
+    def test_rebound_parameter_is_named(self):
+        params = M.init_head(tiny_cfg(), np.random.default_rng(0))
+        state = AdamState.init(params)
+        for _, t in params.named_parameters():
+            t.grad = np.zeros_like(t.data)
+        params.proj_beta.bias.data = params.proj_beta.bias.data.copy()
+        with pytest.raises(ValueError, match="proj_beta.bias"):
+            adam_step(params.named_parameters(), state, 1e-3)
+
+    def test_train_leaves_parameters_in_one_buffer(self):
+        _, params, result = small_run(epochs=2)
+        for p in (params, result.params):
+            views = [t.data for _, t in p.named_parameters()]
+            base = views[0].base
+            assert base.ndim == 1 and base.size == p.parameter_count()
+            assert all(a.base is base for a in views)
+
+    def test_repeated_train_calls_from_reassigned_data_agree(self):
+        head_cfg = tiny_cfg()
+        params = M.init_head(head_cfg, np.random.default_rng(99))
+        init = {n: t.data.copy() for n, t in params.named_parameters()}
+        data = generate(8, SyntheticGen(seed=1, n_patches=16, c_in=32, noise_sigma=0.0))
+        cfg = TrainConfig(epochs=3, batch_size=4, warmup_steps=10, max_lr=1e-3,
+                          avg_last_epochs=2, dropout=0.1)
+        runs = []
+        for _ in range(2):
+            for name, t in params.named_parameters():
+                t.data = init[name].copy()
+            result = train(head_cfg, params, data, cfg)
+            runs.append(([m.loss for m in result.metrics],
+                         [t.data.copy() for _, t in result.params.named_parameters()],
+                         [t.data.copy() for _, t in result.last_params.named_parameters()]))
+        assert runs[0][0] == runs[1][0]
+        for a, b in zip(runs[0][1] + runs[0][2], runs[1][1] + runs[1][2]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_checkpoint_load_keeps_the_arena(self, tmp_path):
+        import lifthead.checkpoint as C
+        params = M.init_head(tiny_cfg(), np.random.default_rng(0))
+        state = AdamState.init(params)
+        rng = np.random.default_rng(3)
+        set_grads(params, random_grads(params, rng))
+        adam_step(params.named_parameters(), state, 1e-3)
+        C.save_checkpoint(params, state, tmp_path / "s.ckpt")
+
+        other = M.init_head(tiny_cfg(), np.random.default_rng(5))
+        other_state = AdamState.init(other)
+        C.load_checkpoint(tmp_path / "s.ckpt", other, other_state)
+        np.testing.assert_array_equal(other_state.arena, state.arena)
+        np.testing.assert_array_equal(other_state.m_flat, state.m_flat)
+        np.testing.assert_array_equal(other_state.v_flat, state.v_flat)
+        # both continue with the same step
+        grads = random_grads(params, rng)
+        set_grads(params, grads)
+        set_grads(other, grads)
+        adam_step(params.named_parameters(), state, 1e-3)
+        adam_step(other.named_parameters(), other_state, 1e-3)
+        np.testing.assert_array_equal(other_state.arena, state.arena)
 
 
 class TestAugmentation:
@@ -269,6 +396,24 @@ class TestAveraging:
         b = average_checkpoints(heads[::-1])
         for (_, ta), (_, tb) in zip(a.named_parameters(), b.named_parameters()):
             np.testing.assert_allclose(ta.data, tb.data, rtol=0, atol=1e-12)
+
+    def test_flat_sets_match_parameter_sets_and_reference(self):
+        heads = [M.init_head(tiny_cfg(), np.random.default_rng(s)) for s in range(4)]
+        flats = [np.concatenate([t.data.reshape(-1) for _, t in h.named_parameters()])
+                 for h in heads]
+        from_sets = average_checkpoints(heads)
+        from_flats = average_checkpoints(flats, like=heads[0])
+        for (name, a), (_, b) in zip(from_sets.named_parameters(),
+                                     from_flats.named_parameters()):
+            # the per-tensor formula the flat average replaced
+            base = dict(heads[0].named_parameters())[name].data
+            delta = np.zeros_like(base)
+            for h in heads[1:]:
+                delta = delta + (dict(h.named_parameters())[name].data - base)
+            np.testing.assert_array_equal(a.data, base + delta / len(heads))
+            np.testing.assert_array_equal(b.data, a.data)
+        with pytest.raises(ValueError, match="shape"):
+            average_checkpoints([flats[0][:-1]], like=heads[0])
 
     def test_structure_mismatch_rejected(self):
         a = M.init_head(tiny_cfg(), np.random.default_rng(0))
