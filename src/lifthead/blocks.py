@@ -125,19 +125,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale_dim: int) -> Tensor:
 
 def _attend(q: Tensor, k_t: Tensor, v: Tensor, scale_dim: int) -> Tensor:
     """attention() with the keys already transposed to (..., dk, n)."""
-    scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(scale_dim))
-    return T.matmul(T.softmax_rows(scores), v)
+    weights = T.softmax_rows(T.matmul(q, k_t), scale=1.0 / math.sqrt(scale_dim))
+    return T.matmul(weights, v)
 
 
 def multi_head_attention(p: MHAParams, q: Tensor, k: Tensor, v: Tensor, *,
-                         batch: int = 1,
-                         dropout_p: float = 0.0,
-                         rng: np.random.Generator | None = None,
-                         training: bool = False) -> Tensor:
+                         batch: int = 1) -> Tensor:
     """Project, attend per sample and head, merge heads, project back to d.
 
-    q is (batch*m, d) and k, v are (batch*n, d), sample-major. Dropout, when
-    enabled, applies to the output projection result.
+    q is (batch*m, d) and k, v are (batch*n, d), sample-major. A pure
+    function of its inputs: the caller applies dropout to the result.
     """
     for x in (q, k, v):
         if x.data.ndim != 2 or x.shape[0] % batch != 0:
@@ -152,10 +149,7 @@ def multi_head_attention(p: MHAParams, q: Tensor, k: Tensor, v: Tensor, *,
     heads = _attend(split(linear(p.q, q), (0, 2, 1, 3)), split(linear(p.k, k), (0, 2, 3, 1)),
                     split(linear(p.v, v), (0, 2, 1, 3)), p.scale_dim)
     merged = T.reshape(T.transpose(heads, (0, 2, 1, 3)), (q.shape[0], p.out.weight.shape[0]))
-    out = linear(p.out, merged)
-    if dropout_p > 0.0:
-        out = T.dropout(out, dropout_p, rng, training)
-    return out
+    return linear(p.out, merged)
 
 
 def feed_forward(p: FFNParams, x: Tensor, *,

@@ -10,6 +10,9 @@ here: counts are the desk-scale proxy.
 FLOP accounting is matmul-dominant: a multiply-add counts as 2 ops
 (2*m*k*n per matrix product, 2*k*k*c_in*c_out*H_out*W_out per conv layer);
 softmax, normalization and activations are excluded (sub-1% at these shapes).
+Head FLOPs are counted per sample. A batched forward computes less than
+batch times that: its samples share block 0's template self-attention,
+which runs once per batch.
 """
 
 from __future__ import annotations

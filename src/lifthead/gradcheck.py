@@ -84,7 +84,8 @@ def _weighted(out: T.Tensor, w: np.ndarray) -> T.Tensor:
 
 def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
     """One finite-difference check per differentiable primitive, plus one
-    per N-D form of matmul, transpose and softmax_rows.
+    per N-D form of matmul, transpose and softmax_rows, and one per folded
+    form of layer_norm (residual) and softmax_rows (scale).
 
     Returns a name -> callable map; each callable takes a fault factor and
     returns the worst relative error for that primitive.
@@ -169,6 +170,14 @@ def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
             lambda t: _weighted(T.transpose(t[0], (2, 0, 1)), w423), [x234], fault),
         "softmax_last_axis": lambda fault=0.0: check_op(
             lambda t: _weighted(T.softmax_rows(t[0]), w237), [x237], fault),
+        # folded forms, on an odd last axis: a residual summand, and a
+        # score scale other than 1
+        "layer_norm_residual": lambda fault=0.0: check_op(
+            lambda t: _weighted(T.layer_norm(t[0], t[1], t[2], eps=1e-5, residual=t[3]),
+                                w237[0]),
+            [r(3, 7), r(7), r(7), r(3, 7)], fault),
+        "softmax_scaled": lambda fault=0.0: check_op(
+            lambda t: _weighted(T.softmax_rows(t[0], scale=2.5), w237), [r(2, 3, 7)], fault),
     }
     return checks
 

@@ -14,6 +14,8 @@ pairs and a 10-dim body shape vector.
 A batch of B samples runs as one pass: both streams are (B*rows, d)
 matrices, sample-major, and every stage takes the batch size to split them
 by sample where attention needs it. The whole batch shares one patch subset.
+Block 0's template stream is the same assembled rows for every sample, so
+its template self-attention runs once per batch and is tiled to the samples.
 """
 
 from __future__ import annotations
@@ -242,42 +244,57 @@ def embed_source(features: Tensor, t: Templates,
     return T.add(B.linear(t.input_proj, x), T.gather_rows(t.pos_enc, keep * batch))
 
 
-def assemble_templates(t: Templates, cfg: HeadConfig, batch: int = 1) -> Tensor:
-    """(batch*n_templates, d) matrix: each row is a joint embedding plus its
+def assemble_templates(t: Templates, cfg: HeadConfig) -> Tensor:
+    """(n_templates, d) matrix: each row is a joint embedding plus its
     output-type embedding (keypoint rows, then twist rows, then the shape
-    row), repeated for every sample."""
+    row). Every sample's template stream starts from these rows."""
     joints, types = template_row_indices(cfg)
-    return T.add(T.gather_rows(t.joint_emb, joints * batch),
-                 T.gather_rows(t.type_emb, types * batch))
+    return T.add(T.gather_rows(t.joint_emb, joints), T.gather_rows(t.type_emb, types))
 
 
-def _stage(mha_out: Tensor, residual: Tensor, ln: LayerNormParams) -> Tensor:
-    return T.relu(T.layer_norm(T.add(mha_out, residual), ln.gamma, ln.beta))
+def _tile(x: Tensor, batch: int) -> Tensor:
+    """batch copies of x's rows, sample-major, as one gather (also for
+    batch 1, so the tape does not depend on the batch size)."""
+    return T.gather_rows(x, np.tile(np.arange(x.shape[0]), batch))
+
+
+def _stage(attn_out: Tensor, residual: Tensor, ln: LayerNormParams, *,
+           dropout_p: float, rng, training: bool) -> Tensor:
+    """Dropout on the attention output, then residual add, layer norm, ReLU."""
+    if dropout_p > 0.0:
+        attn_out = T.dropout(attn_out, dropout_p, rng, training)
+    return T.relu(T.layer_norm(attn_out, ln.gamma, ln.beta, residual=residual))
 
 
 def encode_2d_block(p: BlockParams, e_prev: Tensor, *, batch: int = 1,
                     dropout_p: float = 0.0, rng=None, training: bool = False) -> Tensor:
-    a = B.multi_head_attention(p.mha_2d, e_prev, e_prev, e_prev, batch=batch,
-                               dropout_p=dropout_p, rng=rng, training=training)
-    b = _stage(a, e_prev, p.ln_2d)
+    a = B.multi_head_attention(p.mha_2d, e_prev, e_prev, e_prev, batch=batch)
+    b = _stage(a, e_prev, p.ln_2d, dropout_p=dropout_p, rng=rng, training=training)
     return B.feed_forward(p.ffn_2d, b, dropout_p=dropout_p, rng=rng, training=training)
 
 
 def encode_templates_block(p: BlockParams, e_prev_3d: Tensor, *, batch: int = 1,
-                           dropout_p: float = 0.0, rng=None,
-                           training: bool = False) -> Tensor:
-    # this stage has no FFN
-    a = B.multi_head_attention(p.mha_3d, e_prev_3d, e_prev_3d, e_prev_3d, batch=batch,
-                               dropout_p=dropout_p, rng=rng, training=training)
-    return _stage(a, e_prev_3d, p.ln_3d)
+                           shared: Optional[Tensor] = None, dropout_p: float = 0.0,
+                           rng=None, training: bool = False) -> Tensor:
+    """Template self-attention; this stage has no FFN.
+
+    shared, when set, is the (n_templates, d) matrix that every sample's
+    rows of e_prev_3d repeat (block 0's assembled templates). Attention acts
+    on each sample alone, so it then runs once on shared and its output is
+    tiled to the batch.
+    """
+    if shared is None:
+        a = B.multi_head_attention(p.mha_3d, e_prev_3d, e_prev_3d, e_prev_3d, batch=batch)
+    else:
+        a = _tile(B.multi_head_attention(p.mha_3d, shared, shared, shared), batch)
+    return _stage(a, e_prev_3d, p.ln_3d, dropout_p=dropout_p, rng=rng, training=training)
 
 
 def decode_block(p: BlockParams, e_3d_t: Tensor, e_2d: Tensor, *, batch: int = 1,
                  dropout_p: float = 0.0, rng=None, training: bool = False) -> Tensor:
     """Cross-attend templates (queries) against this block's encoded patches."""
-    a = B.multi_head_attention(p.mha_cross, e_3d_t, e_2d, e_2d, batch=batch,
-                               dropout_p=dropout_p, rng=rng, training=training)
-    b = _stage(a, e_3d_t, p.ln_cross)
+    a = B.multi_head_attention(p.mha_cross, e_3d_t, e_2d, e_2d, batch=batch)
+    b = _stage(a, e_3d_t, p.ln_cross, dropout_p=dropout_p, rng=rng, training=training)
     return B.feed_forward(p.ffn_3d, b, dropout_p=dropout_p, rng=rng, training=training)
 
 
@@ -291,6 +308,8 @@ def encode_decode(cfg: HeadConfig, params: HeadParams, features: Tensor, *,
 
     The template stream of block l reads the decoder output of block l-1;
     the decoder of block l reads the 2D encoder output of the same block.
+    Block 0's template stream is the same assembled rows for every sample,
+    so its self-attention runs once per batch.
     """
     dropout_p = cfg.dropout if training else 0.0
     if dropout_p > 0.0 and rng is None:
@@ -298,10 +317,12 @@ def encode_decode(cfg: HeadConfig, params: HeadParams, features: Tensor, *,
     batch = features.shape[0] if features.data.ndim == 3 else 1
     kw = dict(batch=batch, dropout_p=dropout_p, rng=rng, training=training)
     e_2d = embed_source(features, params.templates, patch_indices)
-    e_3d = assemble_templates(params.templates, cfg, batch)
-    for blk in params.blocks:
+    templates = assemble_templates(params.templates, cfg)
+    e_3d = _tile(templates, batch)
+    for i, blk in enumerate(params.blocks):
         e_2d = encode_2d_block(blk, e_2d, **kw)
-        e_3d_t = encode_templates_block(blk, e_3d, **kw)
+        e_3d_t = encode_templates_block(blk, e_3d, shared=templates if i == 0 else None,
+                                        **kw)
         e_3d = decode_block(blk, e_3d_t, e_2d, **kw)
     return e_2d, e_3d
 

@@ -351,23 +351,37 @@ def mean(x: Tensor) -> Tensor:
     return _maybe_record(out, (x,), bwd)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis, with max subtraction for stability."""
+def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
+    """Softmax over the last axis of x * scale, with max subtraction for
+    stability. Bit for bit softmax_rows(scale(x, scale))."""
     if x.data.ndim < 1:
         raise ShapeError(f"softmax_rows expects at least one axis, got shape {x.shape}")
-    y = x.data - _row_max(x.data)
+    c = float(scale)
+    if c == 1.0:
+        y = x.data - _row_max(x.data)
+    else:
+        y = x.data * c
+        y -= _row_max(y)
     np.exp(y, out=y)
     y /= _row_sums(y)
     out = Tensor(y)
 
     def bwd(g):
-        return (y * (g - _row_sums(g * y)),)
+        gx = y * (g - _row_sums(g * y))
+        if c != 1.0:
+            gx *= c
+        return (gx,)
 
     return _maybe_record(out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean and unit variance, then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
+               residual: Optional[Tensor] = None) -> Tensor:
+    """Per-row normalization to zero mean and unit variance, then affine.
+
+    With residual set, normalizes x + residual: bit for bit
+    layer_norm(add(x, residual), ...), with both summands getting the
+    gradient of the sum."""
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm expects a matrix, got shape {x.shape}")
     n = x.shape[1]
@@ -377,8 +391,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(
             f"layer_norm affine params must have shape ({n},), got {gamma.shape} and {beta.shape}"
         )
-    mu = _row_sums(x.data) / n
-    centered = x.data - mu
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeError(f"layer_norm: residual {residual.shape} does not match {x.shape}")
+    s = x.data if residual is None else x.data + residual.data
+    mu = _row_sums(s) / n
+    centered = s - mu
     var = _row_sums(centered * centered) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
@@ -391,9 +408,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             - _row_sums(gxhat) / n
             - xhat * (_row_sums(gxhat * xhat) / n)
         )
-        return dx, _col_sums(g * xhat), _col_sums(g)
+        # backward() pairs these with the recorded inputs, so the last dx,
+        # the residual's, goes unused when there is no residual
+        return dx, _col_sums(g * xhat), _col_sums(g), dx
 
-    return _maybe_record(out, (x, gamma, beta), bwd)
+    inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    return _maybe_record(out, inputs, bwd)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:

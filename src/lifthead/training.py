@@ -277,7 +277,10 @@ def average_checkpoints(param_sets: Sequence, like: Optional[HeadParams] = None
     mean(others - first): deviations between nearby checkpoints are small,
     and identical inputs average to themselves bit-for-bit. The result is
     shaped like ``like`` (default: the first set), its tensors views of one
-    new buffer.
+    new buffer. A single set is its own mean: the result then views that
+    set's values without an averaging pass, which for a flat set is the
+    caller's array itself. It differs from the formula only where the
+    formula would turn a -0.0 into +0.0, so np.array_equal holds.
     """
     if not param_sets:
         raise ValueError("average_checkpoints needs at least one parameter set")
@@ -294,16 +297,19 @@ def average_checkpoints(param_sets: Sequence, like: Optional[HeadParams] = None
         if any(f.shape != (size,) for f in param_sets):
             raise ValueError(f"flat parameter sets must have shape ({size},)")
         flats = param_sets
-    # by chunks, so that the temporaries stay in cache and only the result
-    # is a new full-size buffer
     base = flats[0]
-    avg = np.empty_like(base)
-    for lo in range(0, base.size, ADAM_CHUNK):
-        chunk = slice(lo, lo + ADAM_CHUNK)
-        delta = np.zeros_like(base[chunk])
-        for other in flats[1:]:
-            delta += other[chunk] - base[chunk]
-        np.add(base[chunk], delta / len(flats), out=avg[chunk])
+    if len(flats) == 1:
+        avg = base
+    else:
+        # by chunks, so that the temporaries stay in cache and only the
+        # result is a new full-size buffer
+        avg = np.empty_like(base)
+        for lo in range(0, base.size, ADAM_CHUNK):
+            chunk = slice(lo, lo + ADAM_CHUNK)
+            delta = np.zeros_like(base[chunk])
+            for other in flats[1:]:
+                delta += other[chunk] - base[chunk]
+            np.add(base[chunk], delta / len(flats), out=avg[chunk])
     tensors = [t for _, t in like.named_parameters()]
     # one structural copy: the memo hands deepcopy the averaged views in
     # place of the values and drops the gradients, so no array is copied

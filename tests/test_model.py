@@ -399,6 +399,164 @@ class TestBatchedForward:
             M.project_outputs(Tensor(e), kpt, proj_twist, beta, batch=2)
 
 
+# ------------------------------------------------------- block-0 hoisting
+
+def unhoisted_encode_decode(cfg, params, features, *, training=False, rng=None,
+                            patch_indices=None):
+    """The path that block-0 hoisting replaced, kept as the reference: every
+    sample's template rows are assembled and attended on their own in every
+    block, the score scale and the residual add are ops of their own, and
+    dropout runs inside attention."""
+    dropout_p = cfg.dropout if training else 0.0
+    batch = features.shape[0] if features.data.ndim == 3 else 1
+
+    def mha(p, q, k, v):
+        def split(x, axes):
+            rows, d = x.shape
+            return T.transpose(T.reshape(x, (batch, rows // batch, p.h, d // p.h)), axes)
+
+        scores = T.scale(T.matmul(split(B.linear(p.q, q), (0, 2, 1, 3)),
+                                  split(B.linear(p.k, k), (0, 2, 3, 1))),
+                         1.0 / np.sqrt(p.scale_dim))
+        heads = T.matmul(T.softmax_rows(scores), split(B.linear(p.v, v), (0, 2, 1, 3)))
+        out = B.linear(p.out, T.reshape(T.transpose(heads, (0, 2, 1, 3)), q.shape))
+        return T.dropout(out, dropout_p, rng, training) if dropout_p > 0.0 else out
+
+    def stage(a, residual, ln):
+        return T.relu(T.layer_norm(T.add(a, residual), ln.gamma, ln.beta))
+
+    def ffn(p, x):
+        return B.feed_forward(p, x, dropout_p=dropout_p, rng=rng, training=training)
+
+    t = params.templates
+    joints, types = M.template_row_indices(cfg)
+    e2d = M.embed_source(features, t, patch_indices)
+    e3d = T.add(T.gather_rows(t.joint_emb, joints * batch),
+                T.gather_rows(t.type_emb, types * batch))
+    for blk in params.blocks:
+        e2d = ffn(blk.ffn_2d, stage(mha(blk.mha_2d, e2d, e2d, e2d), e2d, blk.ln_2d))
+        e3d_t = stage(mha(blk.mha_3d, e3d, e3d, e3d), e3d, blk.ln_3d)
+        e3d = ffn(blk.ffn_3d, stage(mha(blk.mha_cross, e3d_t, e2d, e2d), e3d_t,
+                                    blk.ln_cross))
+    return e2d, e3d
+
+
+def template_grads(run, params, feats, w):
+    """Final template embedding, and the gradients of its readout by w with
+    respect to the features and every parameter but the output projections."""
+    params.zero_grad()
+    feats.grad = None
+    with Tape() as tape:
+        _, e3d = run(feats)
+        backward(T.sum_(T.mul(e3d, Tensor(w))), tape)
+    grads = {name: t.grad.copy() for name, t in params.named_parameters()
+             if not name.startswith("proj_")}
+    grads["features"] = feats.grad.copy()
+    return e3d.data, grads
+
+
+def recording_dropout(monkeypatch):
+    """Patch T.dropout to log the keep mask of every call, read from a copy
+    of the generator's state before the call draws it."""
+    masks = []
+    real = T.dropout
+
+    def dropout(x, p, rng, training):
+        probe = np.random.Generator(np.random.PCG64())
+        probe.bit_generator.state = rng.bit_generator.state
+        masks.append(probe.random(x.shape) >= p)
+        return real(x, p, rng, training)
+
+    monkeypatch.setattr(T, "dropout", dropout)
+    return masks
+
+
+class TestBlockZeroHoisting:
+    @given(h=st.sampled_from([1, 2, 4]), batch=st.integers(1, 4),
+           n_patches=st.integers(2, 5), subset=st.booleans(),
+           dropout=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_unhoisted_path(self, h, batch, n_patches, subset, dropout, seed):
+        """Forward, every gradient and every dropout mask equal those of the
+        unhoisted path, for the same generator."""
+        with pytest.MonkeyPatch.context() as mp:
+            masks = recording_dropout(mp)
+            cfg = tiny_cfg(h=h, n_patches=n_patches, dropout=dropout)
+            params = make_head(cfg, seed=seed)
+            rng = np.random.default_rng(seed + 1)
+            for _, t in params.named_parameters():
+                t.data = t.data + rng.uniform(-0.1, 0.1, size=t.shape)
+            feats = Tensor(rng.standard_normal((batch, n_patches, cfg.c_in)),
+                           requires_grad=True)
+            idx = (sorted(rng.choice(n_patches, size=n_patches - 1, replace=False))
+                   if subset else None)
+            w = rng.standard_normal((batch * cfg.n_templates, cfg.d))
+            results, drawn, states = [], [], []
+            for encode_decode in (M.encode_decode, unhoisted_encode_decode):
+                masks.clear()
+                gen = np.random.default_rng(seed + 2)
+                results.append(template_grads(
+                    lambda f: encode_decode(cfg, params, f, training=True, rng=gen,
+                                            patch_indices=idx), params, feats, w))
+                drawn.append(list(masks))
+                states.append(gen.bit_generator.state)
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        for name, g in want_grads.items():
+            np.testing.assert_allclose(got_grads[name], g, rtol=0, atol=1e-10, err_msg=name)
+        # per block: after mha_2d, twice in ffn_2d, after mha_3d, after
+        # mha_cross, twice in ffn_3d
+        assert len(drawn[0]) == len(drawn[1]) == (7 * cfg.L if dropout else 0)
+        for a, b in zip(*drawn):
+            np.testing.assert_array_equal(a, b)
+        assert states[0] == states[1]
+
+    @given(h=st.sampled_from([1, 2]), batch=st.integers(2, 4), seed=st.integers(0, 2**16))
+    @settings(max_examples=10, deadline=None)
+    def test_gradients_are_sums_of_per_sample_gradients(self, h, batch, seed):
+        cfg = tiny_cfg(h=h)
+        params = make_head(cfg, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        for _, t in params.named_parameters():
+            t.data = t.data + rng.uniform(-0.1, 0.1, size=t.shape)
+        feats = rng.standard_normal((batch, cfg.n_patches, cfg.c_in))
+        w = rng.standard_normal((batch, cfg.n_templates, cfg.d))
+
+        def run(f):
+            return M.encode_decode(cfg, params, f)
+
+        got, got_grads = template_grads(run, params, Tensor(feats, requires_grad=True),
+                                        w.reshape(-1, cfg.d))
+        per_sample = [template_grads(run, params, Tensor(feats[s], requires_grad=True), w[s])
+                      for s in range(batch)]
+        np.testing.assert_allclose(got, np.concatenate([e3d for e3d, _ in per_sample]),
+                                   rtol=0, atol=1e-10)
+        for name, g in got_grads.items():
+            parts = [grads[name] for _, grads in per_sample]
+            want = np.stack(parts) if name == "features" else np.sum(parts, axis=0)
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_block0_template_attention_runs_once_per_batch(self, monkeypatch, training):
+        """Per block the attention order is mha_2d, mha_3d, mha_cross; at
+        batch 4 only block 0's mha_3d scores lead with 1."""
+        shapes = []
+        real = T.softmax_rows
+
+        def softmax_rows(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(T, "softmax_rows", softmax_rows)
+        cfg = tiny_cfg(L=3, dropout=0.2)
+        params = make_head(cfg, dtype=np.float32)
+        feats = np.random.default_rng(0).standard_normal((4, cfg.n_patches, cfg.c_in))
+        M.encode_decode(cfg, params, Tensor(feats), training=training,
+                        rng=np.random.default_rng(1))
+        assert [s[0] for s in shapes] == [4, 1, 4] + [4, 4, 4] * (cfg.L - 1)
+        assert shapes[1] == (1, cfg.h, cfg.n_templates, cfg.n_templates)
+
+
 # ------------------------------------------------------------------- params
 
 class TestParameterRegistry:

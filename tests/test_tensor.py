@@ -311,13 +311,13 @@ def ref_layer_norm(x, gamma, beta, g, eps=1e-5):
     return xhat * gamma + beta, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
-def grads_of(fn, *arrays):
+def grads_of(fn, *arrays, dtype=np.float64):
     """Forward value and input gradients of fn under a random readout."""
-    leaves = [t64(a, grad=True) for a in arrays]
+    leaves = [T.Tensor(np.asarray(a, dtype=dtype), requires_grad=True) for a in arrays]
     with T.Tape() as tape:
         out = fn(*leaves)
         w = np.random.default_rng(7).standard_normal(out.shape)
-        T.backward(T.sum_(T.mul(out, t64(w))), tape)
+        T.backward(T.sum_(T.mul(out, T.Tensor(w, dtype=dtype))), tape)
     return out.data, w, [leaf.grad for leaf in leaves]
 
 
@@ -402,3 +402,46 @@ class TestFastKernels:
             out = T.dropout(T.Tensor(x), p, np.random.default_rng(5), training=True)
             keep = np.random.default_rng(5).random(x.shape) >= p
             np.testing.assert_array_equal(out.data, x * (keep / (1.0 - p)).astype(x.dtype))
+
+
+class TestFoldedOps:
+    """layer_norm's residual and softmax_rows' scale equal the compositions
+    they replace, add-then-norm and scale-then-softmax, bit for bit, forward
+    and backward."""
+
+    @given(rows=st.integers(1, 30), n=st.integers(2, 49), seed=st.integers(0, 2**16),
+           dtype=st.sampled_from([np.float64, np.float32]))
+    @settings(max_examples=60, deadline=None)
+    def test_layer_norm_residual_is_add_then_norm(self, rows, n, seed, dtype):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(s) for s in ((rows, n), (n,), (n,), (rows, n))]
+        folded = grads_of(lambda x, g, b, r: T.layer_norm(x, g, b, residual=r),
+                          *arrays, dtype=dtype)
+        composed = grads_of(lambda x, g, b, r: T.layer_norm(T.add(x, r), g, b),
+                            *arrays, dtype=dtype)
+        np.testing.assert_array_equal(folded[0], composed[0])
+        for got, want in zip(folded[2], composed[2]):
+            np.testing.assert_array_equal(got, want)
+
+    @given(lead=lead_dims, w=st.sampled_from(MAX_WIDTHS), seed=st.integers(0, 2**16),
+           c=st.sampled_from([1.0, 0.125, 1 / np.sqrt(512), 2.5, -0.7]),
+           dtype=st.sampled_from([np.float64, np.float32]))
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_softmax_is_scale_then_softmax(self, lead, w, seed, c, dtype):
+        x = 3.0 * np.random.default_rng(seed).standard_normal(tuple(lead) + (w,))
+        folded = grads_of(lambda t: T.softmax_rows(t, scale=c), x, dtype=dtype)
+        composed = grads_of(lambda t: T.softmax_rows(T.scale(t, c)), x, dtype=dtype)
+        np.testing.assert_array_equal(folded[0], composed[0])
+        np.testing.assert_array_equal(folded[2][0], composed[2][0])
+
+    def test_each_fold_is_one_tape_entry(self):
+        x, r = t64(np.ones((2, 3)), grad=True), t64(np.zeros((2, 3)), grad=True)
+        with T.Tape() as tape:
+            T.layer_norm(x, t64(np.ones(3)), t64(np.zeros(3)), residual=r)
+            T.softmax_rows(x, scale=0.5)
+        assert len(tape.entries) == 2
+
+    def test_residual_shape_must_match(self):
+        with pytest.raises(T.ShapeError, match="residual"):
+            T.layer_norm(t64(np.ones((2, 3))), t64(np.ones(3)), t64(np.zeros(3)),
+                         residual=t64(np.ones((1, 3))))

@@ -415,6 +415,33 @@ class TestAveraging:
         with pytest.raises(ValueError, match="shape"):
             average_checkpoints([flats[0][:-1]], like=heads[0])
 
+    def test_single_set_views_itself_and_equals_the_formula(self):
+        head = M.init_head(tiny_cfg(), np.random.default_rng(3))
+        flat = np.concatenate([t.data.reshape(-1) for _, t in head.named_parameters()])
+        flat[:2] = -0.0
+        avg = average_checkpoints([flat], like=head)
+        formula = flat + np.zeros_like(flat) / 1  # first + mean of no deviations
+        assert np.signbit(flat[0]) and not np.signbit(formula[0])
+        got = np.concatenate([t.data.reshape(-1) for _, t in avg.named_parameters()])
+        np.testing.assert_array_equal(got, formula)
+        assert all(np.shares_memory(t.data, flat) for _, t in avg.named_parameters())
+        from_set = average_checkpoints([head])
+        for (_, a), (_, b) in zip(from_set.named_parameters(), head.named_parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+            assert not np.shares_memory(a.data, b.data)
+
+    def test_one_epoch_window_shares_no_memory_with_last_params(self):
+        head_cfg = tiny_cfg()
+        params = M.init_head(head_cfg, np.random.default_rng(99))
+        data = generate(4, SyntheticGen(seed=1, n_patches=16, c_in=32))
+        result = train(head_cfg, params, data,
+                       TrainConfig(epochs=2, batch_size=4, warmup_steps=10,
+                                   avg_last_epochs=1, dropout=0.0))
+        last = dict(result.last_params.named_parameters())
+        for name, t in result.params.named_parameters():
+            np.testing.assert_array_equal(t.data, last[name].data)
+            assert not np.shares_memory(t.data, last[name].data), name
+
     def test_structure_mismatch_rejected(self):
         a = M.init_head(tiny_cfg(), np.random.default_rng(0))
         b = M.init_head(tiny_cfg(L=3), np.random.default_rng(0))
