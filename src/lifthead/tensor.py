@@ -357,19 +357,15 @@ def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
     if x.data.ndim < 1:
         raise ShapeError(f"softmax_rows expects at least one axis, got shape {x.shape}")
     c = float(scale)
-    if c == 1.0:
-        y = x.data - _row_max(x.data)
-    else:
-        y = x.data * c
-        y -= _row_max(y)
+    y = x.data * c
+    y -= _row_max(y)
     np.exp(y, out=y)
     y /= _row_sums(y)
     out = Tensor(y)
 
     def bwd(g):
         gx = y * (g - _row_sums(g * y))
-        if c != 1.0:
-            gx *= c
+        gx *= c
         return (gx,)
 
     return _maybe_record(out, (x,), bwd)
@@ -408,9 +404,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
             - _row_sums(gxhat) / n
             - xhat * (_row_sums(gxhat * xhat) / n)
         )
-        # backward() pairs these with the recorded inputs, so the last dx,
-        # the residual's, goes unused when there is no residual
-        return dx, _col_sums(g * xhat), _col_sums(g), dx
+        grads = (dx, _col_sums(g * xhat), _col_sums(g))
+        return grads if residual is None else grads + (dx,)
 
     inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
     return _maybe_record(out, inputs, bwd)

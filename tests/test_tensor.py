@@ -441,6 +441,15 @@ class TestFoldedOps:
             T.softmax_rows(x, scale=0.5)
         assert len(tape.entries) == 2
 
+    def test_layer_norm_returns_one_gradient_per_input(self):
+        x, r = t64(np.ones((2, 3)), grad=True), t64(np.zeros((2, 3)), grad=True)
+        gamma, beta = t64(np.ones(3), grad=True), t64(np.zeros(3), grad=True)
+        with T.Tape() as tape:
+            T.layer_norm(x, gamma, beta)
+            T.layer_norm(x, gamma, beta, residual=r)
+        for entry in tape.entries:
+            assert len(entry.backward_fn(np.ones((2, 3)))) == len(entry.inputs)
+
     def test_residual_shape_must_match(self):
         with pytest.raises(T.ShapeError, match="residual"):
             T.layer_norm(t64(np.ones((2, 3))), t64(np.ones(3)), t64(np.zeros(3)),
