@@ -14,7 +14,7 @@ config-visible; callers that prefer per-head scaling can pass d // h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -27,10 +27,6 @@ class LinearParams:
     """An affine map x -> x @ weight + bias."""
     weight: Tensor  # (d_in, d_out)
     bias: Tensor    # (d_out,)
-
-    def named(self, prefix: str):
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
 
 
 @dataclass
@@ -52,10 +48,6 @@ class MHAParams:
         if d % self.h != 0:
             raise ShapeError(f"width {d} not divisible by {self.h} heads")
 
-    def named(self, prefix: str):
-        for name in ("q", "k", "v", "out"):
-            yield from getattr(self, name).named(f"{prefix}.{name}")
-
 
 @dataclass
 class FFNParams:
@@ -69,9 +61,23 @@ class FFNParams:
         if len(widths) != 1 or any(s[0] != s[1] for s in widths):
             raise ShapeError(f"feed-forward layers must share a square width, got {widths}")
 
-    def named(self, prefix: str):
-        for i, layer in enumerate(self.layers):
-            yield from layer.named(f"{prefix}.layers.{i}")
+
+def named_tensors(node, prefix: str = ""):
+    """(dotted name, tensor) for every Tensor under node, walking dataclass
+    fields in declaration order and list items by index; other values (head
+    counts, widths) are skipped. This order is the parameter order of the
+    Adam arena and of checkpoints."""
+    if isinstance(node, Tensor):
+        yield prefix, node
+        return
+    if isinstance(node, list):
+        children = ((str(i), item) for i, item in enumerate(node))
+    elif is_dataclass(node):
+        children = ((f.name, getattr(node, f.name)) for f in fields(node))
+    else:
+        return
+    for key, child in children:
+        yield from named_tensors(child, f"{prefix}.{key}" if prefix else key)
 
 
 def init_params(rng: np.random.Generator, fan_in: int, fan_out: int,

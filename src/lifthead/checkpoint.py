@@ -105,6 +105,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         off += 2
         name = bytes(blob[off:off + name_len]).decode("utf-8")
         off += name_len
+        if name in out:
+            raise FormatError(f"{path}: duplicate tensor {name}")
         (rank,) = struct.unpack_from("<B", blob, off)
         off += 1
         shape = struct.unpack_from(f"<{rank}Q", blob, off) if rank else ()

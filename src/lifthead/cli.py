@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import logging
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class ConfigError(Exception):
     """Bad configuration; the message names the offending field."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class FieldSpec:
     section: str
     name: str
@@ -49,31 +49,29 @@ class FieldSpec:
     default: object
 
 
+_KINDS = {int: "int", float: "float", Optional[int]: "optint"}
+# the HeadConfig fields the CLI sets; the others keep their defaults
+MODEL_FIELDS = ("L", "h", "d", "n_patches", "c_in", "dropout", "attn_scale_dim")
+
+
+def _dataclass_fields(section: str, cls, names=None) -> tuple[FieldSpec, ...]:
+    """Specs for cls's fields (those in names, if given), in declaration
+    order, with kinds from the type hints and the dataclass defaults."""
+    hints = get_type_hints(cls)
+    return tuple(FieldSpec(section, f.name, _KINDS[hints[f.name]], f.default)
+                 for f in dataclasses.fields(cls) if names is None or f.name in names)
+
+
 FIELDS = (
-    FieldSpec("model", "L", "int", 6),
-    FieldSpec("model", "h", "int", 8),
-    FieldSpec("model", "d", "int", 512),
-    FieldSpec("model", "n_patches", "int", 64),
-    FieldSpec("model", "c_in", "int", 512),
-    FieldSpec("model", "dropout", "float", 0.1),
-    FieldSpec("model", "attn_scale_dim", "optint", None),
-    FieldSpec("train", "max_lr", "float", 5e-4),
-    FieldSpec("train", "warmup_steps", "int", 4000),
-    FieldSpec("train", "epochs", "int", 200),
-    FieldSpec("train", "batch_size", "int", 16),
-    FieldSpec("train", "avg_last_epochs", "int", 10),
-    FieldSpec("train", "seed", "int", 0),
-    FieldSpec("train", "min_keep_patches", "optint", None),
-    FieldSpec("train", "w_kpt", "float", 1.0),
-    FieldSpec("train", "w_twist", "float", 1.0),
-    FieldSpec("train", "w_beta", "float", 1.0),
-    FieldSpec("data", "n_samples", "int", 1024),
-    FieldSpec("data", "eval_samples", "int", 256),
-    FieldSpec("data", "noise_sigma", "float", 0.01),
-    FieldSpec("data", "data_seed", "int", 0),
-    FieldSpec("io", "out_dir", "str", "runs"),
-    FieldSpec("io", "metrics_file", "str", ""),
-    FieldSpec("io", "checkpoint", "str", ""),
+    _dataclass_fields("model", M.HeadConfig, MODEL_FIELDS)
+    + _dataclass_fields("train", TR.TrainConfig)
+    + (FieldSpec("data", "n_samples", "int", 1024),
+       FieldSpec("data", "eval_samples", "int", 256),
+       FieldSpec("data", "noise_sigma", "float", 0.01),
+       FieldSpec("data", "data_seed", "int", 0),
+       FieldSpec("io", "out_dir", "str", "runs"),
+       FieldSpec("io", "metrics_file", "str", ""),
+       FieldSpec("io", "checkpoint", "str", ""))
 )
 FIELD_BY_NAME = {f.name: f for f in FIELDS}
 SECTIONS = ("model", "train", "data", "io")
@@ -179,21 +177,17 @@ def echo_config(cfg: dict[str, object], args: argparse.Namespace) -> None:
         print(f"config.{f.name}\t{_fmt(cfg[f.name])}")
 
 
+def _from_cfg(cls, cfg: dict[str, object]):
+    """cls built from the entries of cfg that name its fields."""
+    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg})
+
+
 def head_config(cfg: dict[str, object]) -> M.HeadConfig:
-    return M.HeadConfig(L=cfg["L"], h=cfg["h"], d=cfg["d"],
-                        n_patches=cfg["n_patches"], c_in=cfg["c_in"],
-                        dropout=cfg["dropout"],
-                        attn_scale_dim=cfg["attn_scale_dim"])
+    return _from_cfg(M.HeadConfig, cfg)
 
 
 def train_config(cfg: dict[str, object]) -> TR.TrainConfig:
-    return TR.TrainConfig(max_lr=cfg["max_lr"], warmup_steps=cfg["warmup_steps"],
-                          epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                          avg_last_epochs=cfg["avg_last_epochs"],
-                          dropout=cfg["dropout"], seed=cfg["seed"],
-                          min_keep_patches=cfg["min_keep_patches"],
-                          w_kpt=cfg["w_kpt"], w_twist=cfg["w_twist"],
-                          w_beta=cfg["w_beta"])
+    return _from_cfg(TR.TrainConfig, cfg)
 
 
 def _dataset(cfg: dict[str, object], n: int, seed: int):
@@ -233,11 +227,11 @@ def cmd_train(cfg: dict[str, object]) -> int:
 def cmd_eval(cfg: dict[str, object]) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("checkpoint must be set for eval")
+    if cfg["eval_samples"] < 1:
+        raise ConfigError(f"eval_samples must be >= 1, got {cfg['eval_samples']}")
     hc = head_config(cfg)
     params = M.init_head(hc, np.random.default_rng(cfg["seed"]))
     ckpt.load_checkpoint(str(cfg["checkpoint"]), params)
-    if cfg["eval_samples"] < 1:
-        raise ConfigError(f"eval_samples must be >= 1, got {cfg['eval_samples']}")
     dataset = _dataset(cfg, cfg["eval_samples"],
                        cfg["data_seed"] + HELDOUT_SEED_OFFSET)
     log.info("evaluating %s on %d held-out samples",
@@ -295,7 +289,8 @@ def build_parser() -> _Parser:
     for f in FIELDS:
         flag = "--out" if f.name == "out_dir" else "--" + f.name.replace("_", "-")
         common.add_argument(flag, dest=f.name, metavar=f.kind.upper(),
-                            help=f"[{f.section}] {f.name}")
+                            help=f"[{f.section}] {f.name}, default "
+                                 f"{_fmt(f.default) or 'unset'}")
 
     parser = _Parser(prog="lifthead", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

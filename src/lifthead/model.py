@@ -20,8 +20,8 @@ its template self-attention runs once per batch and is tiled to the samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,24 +88,14 @@ class LayerNormParams:
     gamma: Tensor  # (d,)
     beta: Tensor   # (d,)
 
-    def named(self, prefix: str):
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
-
 
 @dataclass
 class Templates:
     """Learnable embeddings seeding both transformer streams."""
+    input_proj: LinearParams  # c_in -> d
+    pos_enc: Tensor          # (n_patches, d)
     joint_emb: Tensor        # (n_joints, d)
     type_emb: Tensor         # (3, d): keypoint, twist, shape
-    pos_enc: Tensor          # (n_patches, d)
-    input_proj: LinearParams  # c_in -> d
-
-    def named(self, prefix: str = "templates"):
-        yield from self.input_proj.named(f"{prefix}.input_proj")
-        yield f"{prefix}.pos_enc", self.pos_enc
-        yield f"{prefix}.joint_emb", self.joint_emb
-        yield f"{prefix}.type_emb", self.type_emb
 
 
 @dataclass
@@ -120,16 +110,6 @@ class BlockParams:
     ln_cross: LayerNormParams
     ffn_3d: FFNParams
 
-    def named(self, prefix: str):
-        yield from self.mha_2d.named(f"{prefix}.mha_2d")
-        yield from self.ln_2d.named(f"{prefix}.ln_2d")
-        yield from self.ffn_2d.named(f"{prefix}.ffn_2d")
-        yield from self.mha_3d.named(f"{prefix}.mha_3d")
-        yield from self.ln_3d.named(f"{prefix}.ln_3d")
-        yield from self.mha_cross.named(f"{prefix}.mha_cross")
-        yield from self.ln_cross.named(f"{prefix}.ln_cross")
-        yield from self.ffn_3d.named(f"{prefix}.ffn_3d")
-
 
 @dataclass
 class HeadParams:
@@ -139,20 +119,11 @@ class HeadParams:
     proj_twist: LinearParams  # d -> 2
     proj_beta: LinearParams   # d -> beta_dim
 
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield from self.templates.named()
-        for i, blk in enumerate(self.blocks):
-            yield from blk.named(f"blocks.{i}")
-        yield from self.proj_kpt.named("proj_kpt")
-        yield from self.proj_twist.named("proj_twist")
-        yield from self.proj_beta.named("proj_beta")
+    def named_parameters(self):
+        return B.named_tensors(self)
 
     def parameter_count(self) -> int:
         return sum(t.size for _, t in self.named_parameters())
-
-    def zero_grad(self) -> None:
-        for _, t in self.named_parameters():
-            t.zero_grad()
 
 
 @dataclass

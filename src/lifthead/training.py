@@ -52,7 +52,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 16
     avg_last_epochs: int = 10
-    dropout: float = 0.1
     seed: int = 0
     # None -> n_patches // 4, resolved where the patch count is known
     min_keep_patches: Optional[int] = None
@@ -71,8 +70,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.avg_last_epochs < 1:
             raise ValueError(f"avg_last_epochs must be >= 1, got {self.avg_last_epochs}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -361,13 +358,14 @@ def train(head_cfg: HeadConfig, params: HeadParams,
 
     Each epoch shuffles, batches, draws one patch subset per batch, and runs
     one batched forward/loss/backward and one Adam update per step (the loss
-    of a batch is the mean of its per-sample losses). A parameter snapshot is
-    kept per epoch; the returned model is the elementwise mean of the last
-    avg_last_epochs snapshots. With checkpoint_dir set, per-epoch and
-    averaged checkpoints are also written to disk. A non-finite loss aborts
-    with step/lr/loss in the error, a non-finite gradient with
-    step/lr/parameter. params are first packed into a new Adam arena, so
-    on return their .data are views of one buffer.
+    of a batch is the mean of its per-sample losses); the forward applies
+    head_cfg.dropout. A parameter snapshot is kept per epoch; the returned
+    model is the elementwise mean of the last avg_last_epochs snapshots.
+    With checkpoint_dir set, per-epoch and averaged checkpoints are also
+    written to disk. A non-finite loss aborts with step/lr/loss in the
+    error, a non-finite gradient with step/lr/parameter. params are first
+    packed into a new Adam arena, so on return their .data are views of one
+    buffer.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -382,8 +380,6 @@ def train(head_cfg: HeadConfig, params: HeadParams,
     step = 0
     n = len(dataset)
     n_patches = head_cfg.n_patches
-    train_cfg_head = copy.copy(head_cfg)
-    train_cfg_head.dropout = cfg.dropout
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -395,7 +391,7 @@ def train(head_cfg: HeadConfig, params: HeadParams,
             subset = sample_patch_subset(n_patches, cfg, rng)
             t0 = time.perf_counter()
             with Tape() as tape:
-                out = M.forward(train_cfg_head, params, features,
+                out = M.forward(head_cfg, params, features,
                                 training=True, rng=rng, patch_indices=subset)
                 total = loss(out, targets, w_kpt=cfg.w_kpt,
                              w_twist=cfg.w_twist, w_beta=cfg.w_beta)

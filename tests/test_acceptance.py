@@ -80,8 +80,7 @@ def test_03_overfit_run():
         cfg = profile_head_config("tiny")
         tc = TR.TrainConfig(max_lr=p["max_lr"], warmup_steps=p["warmup_steps"],
                             epochs=p["epochs"], batch_size=p["batch_size"],
-                            avg_last_epochs=p["avg_last_epochs"],
-                            dropout=p["dropout"], seed=0,
+                            avg_last_epochs=p["avg_last_epochs"], seed=0,
                             min_keep_patches=p.get("min_keep_patches"),
                             w_kpt=p.get("w_kpt", 1.0),
                             w_twist=p.get("w_twist", 1.0),

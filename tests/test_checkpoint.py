@@ -1,10 +1,16 @@
 """Checkpoint format round-trip and corruption tests."""
 
+import hashlib
+import os
 import struct
+import tempfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lifthead.checkpoint as C
 import lifthead.model as M
@@ -20,6 +26,107 @@ def tiny_cfg():
 
 def make_params(seed=0, dtype=np.float32):
     return M.init_head(tiny_cfg(), np.random.default_rng(seed), dtype=dtype)
+
+
+# (name, shape) of every parameter of a tiny-sized head, in walk order: the
+# order of the Adam arena and of every checkpoint
+TINY_LAYOUT = """\
+templates.input_proj.weight 32x32
+templates.input_proj.bias 32
+templates.pos_enc 16x32
+templates.joint_emb 24x32
+templates.type_emb 3x32
+blocks.0.mha_2d.q.weight 32x32
+blocks.0.mha_2d.q.bias 32
+blocks.0.mha_2d.k.weight 32x32
+blocks.0.mha_2d.k.bias 32
+blocks.0.mha_2d.v.weight 32x32
+blocks.0.mha_2d.v.bias 32
+blocks.0.mha_2d.out.weight 32x32
+blocks.0.mha_2d.out.bias 32
+blocks.0.ln_2d.gamma 32
+blocks.0.ln_2d.beta 32
+blocks.0.ffn_2d.layers.0.weight 32x32
+blocks.0.ffn_2d.layers.0.bias 32
+blocks.0.ffn_2d.layers.1.weight 32x32
+blocks.0.ffn_2d.layers.1.bias 32
+blocks.0.ffn_2d.layers.2.weight 32x32
+blocks.0.ffn_2d.layers.2.bias 32
+blocks.0.mha_3d.q.weight 32x32
+blocks.0.mha_3d.q.bias 32
+blocks.0.mha_3d.k.weight 32x32
+blocks.0.mha_3d.k.bias 32
+blocks.0.mha_3d.v.weight 32x32
+blocks.0.mha_3d.v.bias 32
+blocks.0.mha_3d.out.weight 32x32
+blocks.0.mha_3d.out.bias 32
+blocks.0.ln_3d.gamma 32
+blocks.0.ln_3d.beta 32
+blocks.0.mha_cross.q.weight 32x32
+blocks.0.mha_cross.q.bias 32
+blocks.0.mha_cross.k.weight 32x32
+blocks.0.mha_cross.k.bias 32
+blocks.0.mha_cross.v.weight 32x32
+blocks.0.mha_cross.v.bias 32
+blocks.0.mha_cross.out.weight 32x32
+blocks.0.mha_cross.out.bias 32
+blocks.0.ln_cross.gamma 32
+blocks.0.ln_cross.beta 32
+blocks.0.ffn_3d.layers.0.weight 32x32
+blocks.0.ffn_3d.layers.0.bias 32
+blocks.0.ffn_3d.layers.1.weight 32x32
+blocks.0.ffn_3d.layers.1.bias 32
+blocks.0.ffn_3d.layers.2.weight 32x32
+blocks.0.ffn_3d.layers.2.bias 32
+blocks.1.mha_2d.q.weight 32x32
+blocks.1.mha_2d.q.bias 32
+blocks.1.mha_2d.k.weight 32x32
+blocks.1.mha_2d.k.bias 32
+blocks.1.mha_2d.v.weight 32x32
+blocks.1.mha_2d.v.bias 32
+blocks.1.mha_2d.out.weight 32x32
+blocks.1.mha_2d.out.bias 32
+blocks.1.ln_2d.gamma 32
+blocks.1.ln_2d.beta 32
+blocks.1.ffn_2d.layers.0.weight 32x32
+blocks.1.ffn_2d.layers.0.bias 32
+blocks.1.ffn_2d.layers.1.weight 32x32
+blocks.1.ffn_2d.layers.1.bias 32
+blocks.1.ffn_2d.layers.2.weight 32x32
+blocks.1.ffn_2d.layers.2.bias 32
+blocks.1.mha_3d.q.weight 32x32
+blocks.1.mha_3d.q.bias 32
+blocks.1.mha_3d.k.weight 32x32
+blocks.1.mha_3d.k.bias 32
+blocks.1.mha_3d.v.weight 32x32
+blocks.1.mha_3d.v.bias 32
+blocks.1.mha_3d.out.weight 32x32
+blocks.1.mha_3d.out.bias 32
+blocks.1.ln_3d.gamma 32
+blocks.1.ln_3d.beta 32
+blocks.1.mha_cross.q.weight 32x32
+blocks.1.mha_cross.q.bias 32
+blocks.1.mha_cross.k.weight 32x32
+blocks.1.mha_cross.k.bias 32
+blocks.1.mha_cross.v.weight 32x32
+blocks.1.mha_cross.v.bias 32
+blocks.1.mha_cross.out.weight 32x32
+blocks.1.mha_cross.out.bias 32
+blocks.1.ln_cross.gamma 32
+blocks.1.ln_cross.beta 32
+blocks.1.ffn_3d.layers.0.weight 32x32
+blocks.1.ffn_3d.layers.0.bias 32
+blocks.1.ffn_3d.layers.1.weight 32x32
+blocks.1.ffn_3d.layers.1.bias 32
+blocks.1.ffn_3d.layers.2.weight 32x32
+blocks.1.ffn_3d.layers.2.bias 32
+proj_kpt.weight 32x3
+proj_kpt.bias 3
+proj_twist.weight 32x2
+proj_twist.bias 2
+proj_beta.weight 32x10
+proj_beta.bias 10
+"""
 
 
 class TestRawTensorIO:
@@ -160,18 +267,27 @@ class TestCorruption:
 
     def test_unknown_dtype_code(self, tmp_path):
         path = tmp_path / "t.ckpt"
-        body = (b"LIFTCKPT" + struct.pack("<II", 1, 1)
+        body = (b"LIFTCKPT" + struct.pack("<II", 2, 1)
                 + struct.pack("<H", 1) + b"x"
                 + struct.pack("<B", 0) + struct.pack("<B", 9))
         path.write_bytes(self._with_crc(body))
-        with pytest.raises(FormatError, match="dtype"):
+        with pytest.raises(FormatError, match="unknown dtype code 9"):
+            read_tensors(path)
+
+    def test_duplicate_name_with_valid_crc(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        records = b"".join(struct.pack("<H", 1) + b"x" + struct.pack("<BQB", 1, 2, 0)
+                           + np.array(values, dtype="<f4").tobytes()
+                           for values in ([1.0, 2.0], [3.0, 4.0]))
+        path.write_bytes(self._with_crc(b"LIFTCKPT" + struct.pack("<II", 2, 2) + records))
+        with pytest.raises(FormatError, match="duplicate tensor x"):
             read_tensors(path)
 
     def test_trailing_garbage_detected(self, tmp_path):
         path = tmp_path / "t.ckpt"
-        body = b"LIFTCKPT" + struct.pack("<II", 1, 0) + b"junk"
+        body = b"LIFTCKPT" + struct.pack("<II", 2, 0) + b"junk"
         path.write_bytes(self._with_crc(body))
-        with pytest.raises(FormatError, match="trailing"):
+        with pytest.raises(FormatError, match="4 trailing bytes"):
             read_tensors(path)
 
 
@@ -260,3 +376,59 @@ class TestModelCheckpoints:
         dst = make_params(seed=2)
         with pytest.raises(FormatError, match="adam.step"):
             load_checkpoint(path, dst, AdamState.init(dst))
+
+
+class TestGoldenLayout:
+    """Pinned parameter walk and checkpoint bytes: a reordered walk changes
+    the Adam arena layout and the byte order of every checkpoint."""
+
+    def params(self):
+        cfg = HeadConfig(L=2, h=2, d=32, n_patches=16, c_in=32, dropout=0.0)
+        return M.init_head(cfg, np.random.default_rng(0))
+
+    def test_names_and_shapes(self):
+        got = "".join(f"{name} {'x'.join(map(str, t.shape))}\n"
+                      for name, t in self.params().named_parameters())
+        assert got == TINY_LAYOUT
+
+    def test_checkpoint_bytes(self, tmp_path):
+        params = self.params()
+        save_checkpoint(params, None, tmp_path / "p.ckpt")
+        save_checkpoint(params, AdamState.init(params), tmp_path / "a.ckpt")
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("p.ckpt", "a.ckpt")]
+        assert digests == [
+            "35deeb637ba69931cbcd82d88d845929c403eb4474e6445b0d0e1026f8e9a496",
+            "898919d9d162a184a98e30b635e4fc6842adece1837a12547f740c78b7279231"]
+
+
+tensor_maps = st.dictionaries(
+    st.text(max_size=12),
+    hnp.arrays(st.sampled_from([np.dtype(np.float32), np.dtype(np.float64)]),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+    max_size=4)
+
+
+class TestFormatFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(tensors=tensor_maps, data=st.data())
+    def test_round_trip_exact_and_any_damage_detected(self, tensors, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.ckpt")
+            write_tensors(path, tensors)
+            back = read_tensors(path)
+            assert list(back) == list(tensors)
+            for name, arr in tensors.items():
+                assert (back[name].dtype, back[name].shape) == (arr.dtype, arr.shape)
+                assert back[name].tobytes() == arr.tobytes()
+            with open(path, "rb") as f:
+                raw = f.read()
+            bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            keep = data.draw(st.integers(0, len(raw) - 1), label="keep")
+            for damaged in (bytes(flipped), raw[:keep]):
+                with open(path, "wb") as f:
+                    f.write(damaged)
+                with pytest.raises(ChecksumError):
+                    read_tensors(path)

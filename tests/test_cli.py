@@ -10,7 +10,7 @@ import pytest
 import lifthead.checkpoint as C
 import lifthead.model as M
 import lifthead.training as TR
-from lifthead.cli import main
+from lifthead.cli import FIELDS, main
 
 # fast architecture for train/eval round trips (seconds, not minutes)
 MICRO = ["--profile", "tiny", "--d", "16", "--n-samples", "8",
@@ -43,6 +43,67 @@ def strip_wall_ms(text):
                      for line in text.strip().splitlines())
 
 
+# the config block of `schedule --steps 1` at the defaults and at the tiny
+# profile: these lines are the stdout contract, in this order and format
+ECHO_DEFAULT = (
+    "config.profile\tnone\n"
+    "config.config_file\tnone\n"
+    "config.L\t6\n"
+    "config.h\t8\n"
+    "config.d\t512\n"
+    "config.n_patches\t64\n"
+    "config.c_in\t512\n"
+    "config.dropout\t0.1\n"
+    "config.attn_scale_dim\tnone\n"
+    "config.max_lr\t0.0005\n"
+    "config.warmup_steps\t4000\n"
+    "config.epochs\t200\n"
+    "config.batch_size\t16\n"
+    "config.avg_last_epochs\t10\n"
+    "config.seed\t0\n"
+    "config.min_keep_patches\tnone\n"
+    "config.w_kpt\t1\n"
+    "config.w_twist\t1\n"
+    "config.w_beta\t1\n"
+    "config.n_samples\t1024\n"
+    "config.eval_samples\t256\n"
+    "config.noise_sigma\t0.01\n"
+    "config.data_seed\t0\n"
+    "config.out_dir\truns\n"
+    "config.metrics_file\truns/metrics.tsv\n"
+    "config.checkpoint\t\n"
+)
+
+ECHO_TINY = (
+    "config.profile\ttiny\n"
+    "config.config_file\tnone\n"
+    "config.L\t2\n"
+    "config.h\t2\n"
+    "config.d\t32\n"
+    "config.n_patches\t16\n"
+    "config.c_in\t32\n"
+    "config.dropout\t0\n"
+    "config.attn_scale_dim\tnone\n"
+    "config.max_lr\t0.0056\n"
+    "config.warmup_steps\t400\n"
+    "config.epochs\t500\n"
+    "config.batch_size\t16\n"
+    "config.avg_last_epochs\t10\n"
+    "config.seed\t0\n"
+    "config.min_keep_patches\t16\n"
+    "config.w_kpt\t2\n"
+    "config.w_twist\t0.05\n"
+    "config.w_beta\t0.5\n"
+    "config.n_samples\t64\n"
+    "config.eval_samples\t64\n"
+    "config.noise_sigma\t0\n"
+    "config.data_seed\t0\n"
+    "config.out_dir\truns\n"
+    "config.metrics_file\truns/metrics.tsv\n"
+    "config.checkpoint\t\n"
+)
+
+
 class TestConfigResolution:
     def test_echo_header_lists_every_field(self, capsys):
         code, out, _ = run_cli(["schedule", "--steps", "1"], capsys)
@@ -55,6 +116,14 @@ class TestConfigResolution:
                      "out_dir", "metrics_file", "checkpoint"):
             assert f"config.{name}" in pairs, name
         assert out.startswith("config.profile\t")
+
+    @pytest.mark.parametrize("argv, block", [((), ECHO_DEFAULT),
+                                             (("--profile", "tiny"), ECHO_TINY)])
+    def test_echo_block_is_pinned(self, capsys, argv, block):
+        code, out, _ = run_cli(["schedule", "--steps", "1", *argv], capsys)
+        assert code == 0
+        assert "".join(line + "\n" for line in out.splitlines()
+                       if line.startswith("config.")) == block
 
     def test_echo_comes_before_command_output(self, capsys):
         _, out, _ = run_cli(["schedule", "--steps", "3"], capsys)
@@ -156,6 +225,20 @@ class TestConfigErrors:
         with pytest.raises(SystemExit) as e:
             main(["--help"])
         assert e.value.code == 0
+
+    def test_command_help_prints_every_default(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--help"])
+        assert e.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for f in FIELDS:
+            assert f"[{f.section}] {f.name}, default " in text, f.name
+        for entry in ("[model] d, default 512", "[model] dropout, default 0.1",
+                      "[model] attn_scale_dim, default none",
+                      "[train] max_lr, default 0.0005", "[train] w_beta, default 1",
+                      "[data] noise_sigma, default 0.01", "[io] out_dir, default runs",
+                      "[io] checkpoint, default unset"):
+            assert entry in text, entry
 
 
 class TestSchedule:
@@ -286,6 +369,12 @@ class TestEval:
         code, _, err = run_cli(["eval", *MICRO,
                                 "--checkpoint", str(tmp_path / "no.ckpt")], capsys)
         assert code == 1 and "no.ckpt" in err
+
+    def test_eval_samples_checked_before_the_checkpoint_is_read(self, capsys, tmp_path):
+        code, _, err = run_cli(["eval", *MICRO, "--eval-samples", "0",
+                                "--checkpoint", str(tmp_path / "no.ckpt")], capsys)
+        assert code == 1
+        assert err.startswith("config error: eval_samples must be >= 1"), err
 
     def test_prints_three_metrics(self, capsys, tmp_path):
         out_dir = self.run_train(capsys, tmp_path)

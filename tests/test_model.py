@@ -444,7 +444,8 @@ def unhoisted_encode_decode(cfg, params, features, *, training=False, rng=None,
 def template_grads(run, params, feats, w):
     """Final template embedding, and the gradients of its readout by w with
     respect to the features and every parameter but the output projections."""
-    params.zero_grad()
+    for _, t in params.named_parameters():
+        t.zero_grad()
     feats.grad = None
     with Tape() as tape:
         _, e3d = run(feats)

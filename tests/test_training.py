@@ -209,12 +209,12 @@ class TestFlatAdam:
             assert all(a.base is base for a in views)
 
     def test_repeated_train_calls_from_reassigned_data_agree(self):
-        head_cfg = tiny_cfg()
+        head_cfg = tiny_cfg(dropout=0.1)
         params = M.init_head(head_cfg, np.random.default_rng(99))
         init = {n: t.data.copy() for n, t in params.named_parameters()}
         data = generate(8, SyntheticGen(seed=1, n_patches=16, c_in=32, noise_sigma=0.0))
         cfg = TrainConfig(epochs=3, batch_size=4, warmup_steps=10, max_lr=1e-3,
-                          avg_last_epochs=2, dropout=0.1)
+                          avg_last_epochs=2)
         runs = []
         for _ in range(2):
             for name, t in params.named_parameters():
@@ -436,7 +436,7 @@ class TestAveraging:
         data = generate(4, SyntheticGen(seed=1, n_patches=16, c_in=32))
         result = train(head_cfg, params, data,
                        TrainConfig(epochs=2, batch_size=4, warmup_steps=10,
-                                   avg_last_epochs=1, dropout=0.0))
+                                   avg_last_epochs=1))
         last = dict(result.last_params.named_parameters())
         for name, t in result.params.named_parameters():
             np.testing.assert_array_equal(t.data, last[name].data)
@@ -458,7 +458,7 @@ def small_run(tmp_path=None, seed=0, epochs=3, n=8, **cfg_kw):
     params = M.init_head(head_cfg, np.random.default_rng(99), dtype=np.float32)
     data = generate(n, SyntheticGen(seed=1, n_patches=16, c_in=32, noise_sigma=0.0))
     cfg = TrainConfig(epochs=epochs, batch_size=4, seed=seed, warmup_steps=10,
-                      max_lr=1e-3, avg_last_epochs=2, dropout=0.0, **cfg_kw)
+                      max_lr=1e-3, avg_last_epochs=2, **cfg_kw)
     kw = {}
     if tmp_path is not None:
         kw = dict(checkpoint_dir=str(tmp_path), metrics_path=str(tmp_path / "log.tsv"))
@@ -561,12 +561,12 @@ class TestBatchedStep:
         for batch in (1, 4, 16):
             for h in (1, 2, 4):
                 counts.append([])
-                head_cfg = tiny_cfg(h=h)
+                head_cfg = tiny_cfg(h=h, dropout=0.1)
                 params = M.init_head(head_cfg, np.random.default_rng(0))
                 data = generate(batch, SyntheticGen(seed=1, n_patches=16, c_in=32))
                 train(head_cfg, params, data,
                       TrainConfig(epochs=2, batch_size=batch, warmup_steps=10,
-                                  min_keep_patches=4, dropout=0.1))
+                                  min_keep_patches=4))
         assert [len(c) for c in counts] == [2] * 9
         assert len({n for c in counts for n in c}) == 1, counts
 
@@ -589,7 +589,8 @@ class TestBatchedStep:
                 out = M.forward(head_cfg, params, features, patch_indices=subset)
                 backward(loss(out, targets, w_kpt=2.0, w_twist=0.5), tape)
             g = {n: t.grad for n, t in params.named_parameters()}
-            params.zero_grad()
+            for _, t in params.named_parameters():
+                t.zero_grad()
             return g
 
         batched = grads(samples)
