@@ -96,16 +96,18 @@ def init_params(rng: np.random.Generator, fan_in: int, fan_out: int,
 def init_mha(rng: np.random.Generator, d: int, h: int, scale_dim: int | None = None,
              dtype=np.float32) -> MHAParams:
     """Per-head Xavier draws (q, k, v of head 0, then of head 1, ...), each
-    d -> d/h, concatenated column-wise into the fused projections."""
+    d -> d/h, written into head i's columns of the fused projections."""
     if d % h != 0:
         raise ShapeError(f"width {d} not divisible by {h} heads")
-    heads = [[init_params(rng, d, d // h, dtype) for _ in range(3)] for _ in range(h)]
-    q, k, v = (
-        LinearParams(
-            weight=Tensor(np.concatenate([hd[j].weight.data for hd in heads], axis=1),
-                          requires_grad=True),
-            bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True))
-        for j in range(3))
+    dh = d // h
+    a = math.sqrt(6.0 / (d + dh))
+    weights = [np.empty((d, d), dtype=dtype) for _ in range(3)]
+    for i in range(h):
+        for w in weights:
+            w[:, i * dh:(i + 1) * dh] = rng.uniform(-a, a, size=(d, dh))
+    q, k, v = (LinearParams(weight=Tensor(w, requires_grad=True),
+                            bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True))
+               for w in weights)
     return MHAParams(q=q, k=k, v=v, out=init_params(rng, d, d, dtype), h=h,
                      scale_dim=scale_dim if scale_dim is not None else d)
 

@@ -16,6 +16,7 @@ place, so a failed write leaves any earlier file at the path intact.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import struct
 import zlib
@@ -100,29 +101,35 @@ def read_tensors(path) -> dict[str, np.ndarray]:
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version} (expected {VERSION})")
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = bytes(blob[off:off + name_len]).decode("utf-8")
-        off += name_len
-        if name in out:
-            raise FormatError(f"{path}: duplicate tensor {name}")
-        (rank,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{rank}Q", blob, off) if rank else ()
-        off += 8 * rank
-        (code,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        if code not in _CODE_DTYPES:
-            raise FormatError(f"{path}: tensor {name} has unknown dtype code {code}")
-        dtype = _CODE_DTYPES[code]
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-        if off + n_bytes > len(blob):
-            raise FormatError(f"{path}: tensor {name} overruns the file")
-        arr = np.frombuffer(blob, dtype=dtype, count=n_bytes // dtype.itemsize,
-                            offset=off).reshape(shape)
-        out[name] = arr.astype(dtype.newbyteorder("="), copy=True)
-        off += n_bytes
+    try:
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", blob, off)
+            off += 2
+            name = bytes(blob[off:off + name_len]).decode("utf-8")
+            off += name_len
+            if name in out:
+                raise FormatError(f"{path}: duplicate tensor {name}")
+            (rank,) = struct.unpack_from("<B", blob, off)
+            off += 1
+            shape = struct.unpack_from(f"<{rank}Q", blob, off)
+            off += 8 * rank
+            (code,) = struct.unpack_from("<B", blob, off)
+            off += 1
+            if code not in _CODE_DTYPES:
+                raise FormatError(f"{path}: tensor {name} has unknown dtype code {code}")
+            dtype = _CODE_DTYPES[code]
+            n_bytes = math.prod(shape) * dtype.itemsize  # exact: no int64 wrap-around
+            if off + n_bytes > len(blob):
+                raise FormatError(f"{path}: tensor {name} overruns the file")
+            arr = np.frombuffer(blob, dtype=dtype, count=n_bytes // dtype.itemsize,
+                                offset=off).reshape(shape)
+            out[name] = arr.astype(dtype.newbyteorder("="), copy=True)
+            off += n_bytes
+    except struct.error as e:  # a count or length that runs past the end
+        raise FormatError(f"{path}: tensor headers run past the end of the file "
+                          f"({e})") from e
+    except ValueError as e:  # a name that is not UTF-8, or an unusable shape
+        raise FormatError(f"{path}: malformed tensor header ({e})") from e
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes after last tensor")
     return out

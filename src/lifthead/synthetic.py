@@ -47,7 +47,8 @@ class SyntheticGen:
         """The fixed (TARGET_DIM, n_patches*c_in) linear map, seed-determined."""
         rng = np.random.default_rng((self.seed, 0xA11CE))
         a = rng.standard_normal((TARGET_DIM, self.n_patches * self.c_in))
-        return a / np.sqrt(TARGET_DIM)
+        a /= np.sqrt(TARGET_DIM)
+        return a
 
 
 def flatten_pose(pose: PoseOutput) -> np.ndarray:

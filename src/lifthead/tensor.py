@@ -6,10 +6,24 @@ while a Tape is active append one entry each, in execution order, so the tape
 is already topologically sorted. backward() walks it once in reverse and
 accumulates gradients into leaf tensors (parameters and inputs flagged
 requires_grad).
+
+Liveness: the tape keeps alive only what the backward pass reads. An entry
+refers to an input recorded on the same tape by its node id, holds a
+requires_grad leaf itself, and drops any other input. Each primitive's
+backward_fn captures only the arrays (and shapes, dtypes, constants) it
+reads, never an input Tensor, so an intermediate whose values no backward_fn
+needs is freed as soon as the forward pass lets go of it. Entries are not
+consumed by backward(), so a tape can be replayed: a second backward() adds
+the same gradients again.
+
+Heap policy: importing this module pins glibc's malloc thresholds, so that
+the heap a training step frees is reused rather than returned to the kernel
+and faulted in again (_pin_heap_policy gives the measurements).
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
@@ -18,6 +32,35 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+
+
+def _pin_heap_policy() -> None:
+    """Fix glibc's malloc thresholds: the heap grows for any request under
+    32 MiB, and its free top is never handed back to the kernel.
+
+    A training step frees most of what it allocates. Under glibc's default,
+    dynamic thresholds the freed top of the heap went back to the kernel and
+    the next train() or evaluate() call faulted it in again, page by page:
+    with the tape holding only what backward reads, a paper-profile train()
+    call took 38-40K page faults (0-13 with this policy) and a tiny-profile
+    evaluate() 544 (0), which made it about 10% slower. Setting the trim
+    threshold alone would also freeze the mmap threshold at its 128 KiB
+    start and send every larger block to mmap, so both are set; 32 MiB is
+    the ceiling the dynamic mmap threshold reaches on 64-bit glibc. A no-op
+    where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 2 ** 31 - 1)
+
+
+_pin_heap_policy()
 
 
 class ShapeError(ValueError):
@@ -84,6 +127,9 @@ class Tensor:
 
 
 class _TapeEntry:
+    """One recorded primitive. ``inputs`` has one item per input: its node id
+    if it was recorded on the same tape, the tensor itself if it is a
+    requires_grad leaf, and None if no gradient flows to it."""
     __slots__ = ("out_id", "inputs", "backward_fn")
 
     def __init__(self, out_id, inputs, backward_fn):
@@ -103,8 +149,8 @@ class Tape:
         self.entries: list[_TapeEntry] = []
         self._ids = itertools.count()
         # Recorded tensors point at this key, not at the tape: the entries
-        # hold their input tensors, so a back-reference would make every tape
-        # a reference cycle, freed only by the cyclic garbage collector.
+        # hold leaf tensors, so a back-reference would make every tape a
+        # reference cycle, freed only by the cyclic garbage collector.
         self.key = object()
 
     def __enter__(self) -> "Tape":
@@ -119,7 +165,9 @@ class Tape:
                backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> None:
         out._tape = self.key
         out._node_id = next(self._ids)
-        self.entries.append(_TapeEntry(out._node_id, tuple(inputs), backward_fn))
+        refs = tuple(t._node_id if t._tape is self.key
+                     else t if t.requires_grad else None for t in inputs)
+        self.entries.append(_TapeEntry(out._node_id, refs, backward_fn))
 
 
 _tape_stack: list[Tape] = []
@@ -160,17 +208,16 @@ def backward(loss: Tensor, tape: Tape) -> None:
         if g is None:
             continue  # not on a path from the loss
         grads = entry.backward_fn(g)
-        for inp, gi in zip(entry.inputs, grads):
-            if gi is None:
+        for ref, gi in zip(entry.inputs, grads):
+            if gi is None or ref is None:
                 continue
-            if inp._tape is tape.key and inp._node_id is not None:
-                nid = inp._node_id
-                if nid in adjoint:
-                    adjoint[nid] = adjoint[nid] + gi
+            if type(ref) is int:
+                if ref in adjoint:
+                    adjoint[ref] = adjoint[ref] + gi
                 else:
-                    adjoint[nid] = gi
-            elif inp.requires_grad:
-                inp.accumulate_grad(gi)
+                    adjoint[ref] = gi
+            else:
+                ref.accumulate_grad(gi)
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +341,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
-    out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad * bd)
 
     def bwd(g):
-        return g * b.data, g * a.data
+        return g * bd, g * ad
 
     return _maybe_record(out, (a, b), bwd)
 
@@ -314,10 +362,13 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); NaN propagates. The subgradient at 0 is 0."""
-    out = Tensor(np.maximum(x.data, 0))
+    y = np.maximum(x.data, 0)
+    out = Tensor(y)
 
+    # the mask is read from the output: y > 0 exactly where x > 0 (NaN, +0
+    # and -0 give False in both), so the input need not be kept
     def bwd(g):
-        return (g * (x.data > 0),)
+        return (g * (y > 0),)
 
     return _maybe_record(out, (x,), bwd)
 
@@ -333,20 +384,21 @@ def abs_(x: Tensor) -> Tensor:
 
 
 def sum_(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.dtype))
+    shape, dtype = x.shape, x.dtype
+    out = Tensor(np.asarray(x.data.sum(), dtype=dtype))
 
     def bwd(g):
-        return (np.full_like(x.data, g),)
+        return (np.full(shape, g, dtype),)
 
     return _maybe_record(out, (x,), bwd)
 
 
 def mean(x: Tensor) -> Tensor:
-    n = x.size
-    out = Tensor(np.asarray(x.data.mean(), dtype=x.dtype))
+    n, shape, dtype = x.size, x.shape, x.dtype
+    out = Tensor(np.asarray(x.data.mean(), dtype=dtype))
 
     def bwd(g):
-        return (np.full_like(x.data, g / n),)
+        return (np.full(shape, g / n, dtype),)
 
     return _maybe_record(out, (x,), bwd)
 
@@ -395,19 +447,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     var = _row_sums(centered * centered) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    out = Tensor(xhat * gamma.data + beta.data)
+    gd = gamma.data
+    out = Tensor(xhat * gd + beta.data)
+    has_residual = residual is not None
 
     def bwd(g):
-        gxhat = g * gamma.data
+        gxhat = g * gd
         dx = inv_std * (
             gxhat
             - _row_sums(gxhat) / n
             - xhat * (_row_sums(gxhat * xhat) / n)
         )
         grads = (dx, _col_sums(g * xhat), _col_sums(g))
-        return grads if residual is None else grads + (dx,)
+        return grads + (dx,) if has_residual else grads
 
-    inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    inputs = (x, gamma, beta, residual) if has_residual else (x, gamma, beta)
     return _maybe_record(out, inputs, bwd)
 
 
@@ -456,9 +510,10 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2 or not (0 <= start < stop <= x.shape[0]):
         raise ShapeError(f"slice_rows [{start}:{stop}] invalid for shape {x.shape}")
     out = Tensor(x.data[start:stop].copy())
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape, dtype)
         full[start:stop] = g
         return (full,)
 
@@ -473,15 +528,23 @@ def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {x.shape[0]} rows")
     out = Tensor(x.data[idx])
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g):
-        full = np.zeros_like(x.data)
+        n = shape[0]
+        if idx.size > n and idx.size % n == 0 and (idx.reshape(-1, n) == np.arange(n)).all():
+            # batch copies of every row in order (model._tile): one reduceat
+            # segment over the copies rounds as the general path below does,
+            # where np.sum over the copies would not
+            return (np.add.reduceat(g.reshape(idx.size // n, -1), [0]).reshape(shape),)
+        full = np.zeros(shape, dtype)
         if np.all(idx[1:] > idx[:-1]):
             # increasing indices are unique: a plain scatter
             full[idx] = g
         else:
-            # one reduceat sums the rows of each repeated index in order, as
-            # np.add.at does, without its per-element loop
+            # one reduceat sums the rows of each repeated index, without
+            # np.add.at's per-element loop; past two repeats it can round
+            # differently from np.add.at's running sum
             order = np.argsort(idx, kind="stable")
             rows, starts = np.unique(idx[order], return_index=True)
             full[rows] = np.add.reduceat(g[order], starts, axis=0)
@@ -495,9 +558,10 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     if math.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     out = Tensor(x.data.reshape(shape))
+    in_shape = x.shape
 
     def bwd(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(in_shape),)
 
     return _maybe_record(out, (x,), bwd)
 

@@ -399,6 +399,9 @@ def train(head_cfg: HeadConfig, params: HeadParams,
                 if not math.isfinite(loss_value):
                     raise TrainingAborted(step, lr, loss_value)
                 backward(total, tape)
+            # the tape holds what backward read; free it before the update,
+            # the snapshot copy and the checkpoint writes
+            del tape
             adam_step(named, state, lr)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             metrics.append(StepMetrics(step, epoch, lr, loss_value, wall_ms))

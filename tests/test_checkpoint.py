@@ -283,6 +283,24 @@ class TestCorruption:
         with pytest.raises(FormatError, match="duplicate tensor x"):
             read_tensors(path)
 
+    @pytest.mark.parametrize("complete", [0, 1])
+    def test_count_past_the_end_with_valid_crc(self, tmp_path, complete):
+        # the count promises one tensor more than the file holds
+        path = tmp_path / "t.ckpt"
+        record = struct.pack("<H", 1) + b"x" + struct.pack("<BB", 0, 0) + b"\0" * 4
+        path.write_bytes(self._with_crc(b"LIFTCKPT" + struct.pack("<II", 2, complete + 1)
+                                        + record * complete))
+        with pytest.raises(FormatError, match="past the end"):
+            read_tensors(path)
+
+    def test_non_utf8_name_with_valid_crc(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        body = (b"LIFTCKPT" + struct.pack("<II", 2, 1) + struct.pack("<H", 2) + b"\xff\xfe"
+                + struct.pack("<BB", 0, 0) + b"\0" * 4)
+        path.write_bytes(self._with_crc(body))
+        with pytest.raises(FormatError, match="malformed tensor header"):
+            read_tensors(path)
+
     def test_trailing_garbage_detected(self, tmp_path):
         path = tmp_path / "t.ckpt"
         body = b"LIFTCKPT" + struct.pack("<II", 2, 0) + b"junk"
@@ -432,3 +450,26 @@ class TestFormatFuzz:
                     f.write(damaged)
                 with pytest.raises(ChecksumError):
                     read_tensors(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tensors=tensor_maps, data=st.data())
+    def test_crc_valid_damage_parses_or_is_a_format_error(self, tensors, data):
+        """Bytes overwritten after the magic, or a body cut short, under a
+        recomputed CRC: the header fields can then say anything, and the
+        reader must still fail only with FormatError."""
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.ckpt")
+            write_tensors(path, tensors)
+            with open(path, "rb") as f:
+                body = f.read()[:-4]
+            start = data.draw(st.integers(len(C.MAGIC), len(body) - 1), label="start")
+            patch = data.draw(st.binary(min_size=1, max_size=8), label="patch")
+            mutated = body[:start] + patch + body[start + len(patch):]
+            keep = data.draw(st.integers(len(C.MAGIC) + 8, len(body)), label="keep")
+            for damaged in (mutated, body[:keep]):
+                with open(path, "wb") as f:
+                    f.write(damaged + struct.pack("<I", zlib.crc32(damaged) & 0xFFFFFFFF))
+                try:
+                    read_tensors(path)
+                except FormatError:
+                    pass

@@ -1,8 +1,10 @@
 """CLI behavior: config layering, echo header, exit codes, artifacts."""
 
 import os
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -419,6 +421,17 @@ class TestEval:
         code, _, err = run_cli(["eval", *MICRO, "--checkpoint", str(path)],
                                capsys)
         assert code == 1 and "checksum" in err.lower()
+
+    def test_malformed_header_with_valid_crc_is_a_checkpoint_error(self, capsys, tmp_path):
+        # a tensor count that runs past the end, and a name that is not UTF-8
+        path = tmp_path / "bad.ckpt"
+        for body in (b"LIFTCKPT" + struct.pack("<II", 2, 1),
+                     b"LIFTCKPT" + struct.pack("<IIH", 2, 1, 1) + b"\xff"
+                     + struct.pack("<BB", 0, 0) + b"\0" * 4):
+            path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+            code, _, err = run_cli(["eval", *MICRO, "--checkpoint", str(path)], capsys)
+            assert code == 1
+            assert err.startswith("checkpoint error: "), err
 
     def test_degenerate_twist_output_has_its_own_message(self, capsys, tmp_path):
         out_dir = self.run_train(capsys, tmp_path)

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -598,6 +599,81 @@ class TestBatchedStep:
         for name, g in batched.items():
             np.testing.assert_allclose(g, np.mean([s[name] for s in singles], axis=0),
                                        rtol=0, atol=1e-10, err_msg=name)
+
+
+# bytes of the distinct array buffers held by the closures of one tiny-profile
+# training tape (TestTapeLiveness.step_tape); when closures held their input
+# tensors, those tensors' arrays brought it to 9,335,048
+PINNED_TAPE_BYTES = 3_758_128
+
+
+class TestTapeLiveness:
+    """A training tape keeps alive only what backward reads: node ids, leaf
+    tensors, and the arrays each backward_fn captures."""
+
+    @staticmethod
+    def step_tape(dropout=0.0):
+        """The tape of one training step at the tiny profile's shapes (batch
+        16, every patch kept), after backward."""
+        head_cfg = tiny_cfg(d=32, dropout=dropout)
+        params = M.init_head(head_cfg, np.random.default_rng(0))
+        features, targets = TR.stack_samples(
+            generate(16, SyntheticGen(seed=1, n_patches=16, c_in=32)))
+        with Tape() as tape:
+            out = M.forward(head_cfg, params, features, training=True,
+                            rng=np.random.default_rng(2))
+            backward(loss(out, targets), tape)
+        return tape
+
+    @staticmethod
+    def held(entry):
+        """Everything an entry keeps: its inputs and its closure's cells,
+        with tuples and lists opened one level."""
+        items = list(entry.inputs)
+        for cell in entry.backward_fn.__closure__ or ():
+            value = cell.cell_contents
+            items.extend(value if isinstance(value, (tuple, list)) else [value])
+        return items
+
+    def test_entries_hold_no_intermediate_tensor(self):
+        tape = self.step_tape(dropout=0.1)
+        for entry in tape.entries:
+            for item in self.held(entry):
+                if isinstance(item, Tensor):
+                    assert item.requires_grad and item._tape is None, entry.backward_fn
+        refs = [r for e in tape.entries for r in e.inputs]
+        assert any(type(r) is int for r in refs) and any(r is None for r in refs)
+
+    def test_tiny_tape_array_bytes_are_pinned(self):
+        # a deterministic proxy for the tape's memory: bytes of the distinct
+        # buffers that backward_fn closures hold (the parameters included)
+        bases = {}
+        for entry in self.step_tape().entries:
+            for item in self.held(entry):
+                if isinstance(item, np.ndarray):
+                    while isinstance(item.base, np.ndarray):
+                        item = item.base
+                    bases[id(item)] = item.nbytes
+        assert sum(bases.values()) == PINNED_TAPE_BYTES
+
+    def test_train_holds_no_tape_across_adam_step(self, monkeypatch):
+        tapes, live = [], []
+
+        class WatchedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        real_adam_step = TR.adam_step
+
+        def adam_step(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in tapes))
+            return real_adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(TR, "Tape", WatchedTape)
+        monkeypatch.setattr(TR, "adam_step", adam_step)
+        small_run(epochs=2, n=8)
+        assert len(tapes) == 4 and live == [0, 0, 0, 0]
 
 
 class TestMetricsText:
