@@ -80,15 +80,19 @@ def named_tensors(node, prefix: str = ""):
         yield from named_tensors(child, f"{prefix}.{key}" if prefix else key)
 
 
-def init_params(rng: np.random.Generator, fan_in: int, fan_out: int,
-                dtype=np.float32) -> LinearParams:
-    """Xavier-uniform weights, zero bias."""
+def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """A (fan_in, fan_out) Xavier-uniform draw, in float64."""
     if fan_in <= 0 or fan_out <= 0:
         raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
     a = math.sqrt(6.0 / (fan_in + fan_out))
-    weight = rng.uniform(-a, a, size=(fan_in, fan_out))
+    return rng.uniform(-a, a, size=(fan_in, fan_out))
+
+
+def init_params(rng: np.random.Generator, fan_in: int, fan_out: int,
+                dtype=np.float32) -> LinearParams:
+    """Xavier-uniform weights, zero bias."""
     return LinearParams(
-        weight=Tensor(weight.astype(dtype), requires_grad=True),
+        weight=Tensor(_xavier(rng, fan_in, fan_out).astype(dtype), requires_grad=True),
         bias=Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True),
     )
 
@@ -100,11 +104,10 @@ def init_mha(rng: np.random.Generator, d: int, h: int, scale_dim: int | None = N
     if d % h != 0:
         raise ShapeError(f"width {d} not divisible by {h} heads")
     dh = d // h
-    a = math.sqrt(6.0 / (d + dh))
     weights = [np.empty((d, d), dtype=dtype) for _ in range(3)]
     for i in range(h):
         for w in weights:
-            w[:, i * dh:(i + 1) * dh] = rng.uniform(-a, a, size=(d, dh))
+            w[:, i * dh:(i + 1) * dh] = _xavier(rng, d, dh)
     q, k, v = (LinearParams(weight=Tensor(w, requires_grad=True),
                             bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True))
                for w in weights)

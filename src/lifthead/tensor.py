@@ -16,9 +16,11 @@ needs is freed as soon as the forward pass lets go of it. Entries are not
 consumed by backward(), so a tape can be replayed: a second backward() adds
 the same gradients again.
 
-Heap policy: importing this module pins glibc's malloc thresholds, so that
-the heap a training step frees is reused rather than returned to the kernel
-and faulted in again (_pin_heap_policy gives the measurements).
+Heap policy: importing this module pins glibc's malloc thresholds for the
+whole process, so that the heap a training step frees is reused rather than
+returned to the kernel and faulted in again. The heap then never shrinks,
+for this package and for every other library in the process, until the
+process exits (_pin_heap_policy gives the measurements).
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ def _pin_heap_policy() -> None:
     dynamic thresholds the freed top of the heap went back to the kernel and
     the next train() or evaluate() call faulted it in again, page by page:
     with the tape holding only what backward reads, a paper-profile train()
-    call took 38-40K page faults (0-13 with this policy) and a tiny-profile
+    call took 38-40K page faults on every call (under 200 with this policy,
+    once the heap has grown to its high-water mark) and a tiny-profile
     evaluate() 544 (0), which made it about 10% slower. Setting the trim
     threshold alone would also freeze the mmap threshold at its 128 KiB
     start and send every larger block to mmap, so both are set; 32 MiB is
@@ -531,12 +534,6 @@ def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     shape, dtype = x.shape, x.dtype
 
     def bwd(g):
-        n = shape[0]
-        if idx.size > n and idx.size % n == 0 and (idx.reshape(-1, n) == np.arange(n)).all():
-            # batch copies of every row in order (model._tile): one reduceat
-            # segment over the copies rounds as the general path below does,
-            # where np.sum over the copies would not
-            return (np.add.reduceat(g.reshape(idx.size // n, -1), [0]).reshape(shape),)
         full = np.zeros(shape, dtype)
         if np.all(idx[1:] > idx[:-1]):
             # increasing indices are unique: a plain scatter

@@ -396,26 +396,6 @@ class TestFastKernels:
         np.add.at(want, np.asarray(indices, dtype=np.intp), g)
         np.testing.assert_array_equal(xt.grad, want)
 
-    @given(batch=st.integers(2, 20), n=st.integers(1, 9), d=st.integers(1, 8),
-           seed=st.integers(0, 2**16), dtype=st.sampled_from([np.float32, np.float64]))
-    @settings(max_examples=60, deadline=None)
-    def test_tiled_gather_backward_matches_reduceat_path(self, batch, n, d, seed, dtype):
-        # model._tile's indices: batch copies of arange(n)
-        idx = np.tile(np.arange(n), batch)
-        rng = np.random.default_rng(seed)
-        g = (rng.standard_normal((idx.size, d))
-             * 10.0 ** rng.uniform(-4, 4, (idx.size, d))).astype(dtype)
-        xt = T.Tensor(np.zeros((n, d)), requires_grad=True, dtype=dtype)
-        with T.Tape() as tape:
-            out = T.gather_rows(xt, idx)
-            T.backward(T.sum_(T.mul(out, T.Tensor(g))), tape)
-        # the general path for repeated indices
-        order = np.argsort(idx, kind="stable")
-        rows, starts = np.unique(idx[order], return_index=True)
-        want = np.zeros((n, d), dtype)
-        want[rows] = np.add.reduceat(g[order], starts, axis=0)
-        np.testing.assert_array_equal(xt.grad, want)
-
     def test_relu_backward_mask_from_output(self):
         x = np.array([[np.nan, 0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, 1e-30]])
         g = np.arange(1.0, 9.0).reshape(1, -1)
