@@ -163,16 +163,11 @@ def multi_head_attention(p: MHAParams, q: Tensor, k: Tensor, v: Tensor, *,
     return linear(p.out, merged)
 
 
-def feed_forward(p: FFNParams, x: Tensor, *,
-                 dropout_p: float = 0.0,
-                 rng: np.random.Generator | None = None,
-                 training: bool = False) -> Tensor:
+def feed_forward(p: FFNParams, x: Tensor, *, dropout_p: float = 0.0,
+                 rng: np.random.Generator | None = None) -> Tensor:
     """linear -> relu -> linear -> relu -> linear; no activation after the last
-    layer. Dropout, when enabled, applies to the hidden activations."""
-    h = T.relu(linear(p.layers[0], x))
-    if dropout_p > 0.0:
-        h = T.dropout(h, dropout_p, rng, training)
-    h = T.relu(linear(p.layers[1], h))
-    if dropout_p > 0.0:
-        h = T.dropout(h, dropout_p, rng, training)
+    layer. Dropout with probability dropout_p applies to the hidden
+    activations."""
+    h = T.dropout(T.relu(linear(p.layers[0], x)), dropout_p, rng)
+    h = T.dropout(T.relu(linear(p.layers[1], h)), dropout_p, rng)
     return linear(p.layers[2], h)

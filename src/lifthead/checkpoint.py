@@ -84,7 +84,11 @@ def write_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
-    """Parse a checkpoint back into name->array pairs in file order."""
+    """Parse a checkpoint back into name->array pairs in file order.
+
+    The arrays are read-only views of the one buffer the file was read
+    into; copy one to keep it apart from the others or to write to it.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < len(MAGIC) + 12:
@@ -121,9 +125,7 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             n_bytes = math.prod(shape) * dtype.itemsize  # exact: no int64 wrap-around
             if off + n_bytes > len(blob):
                 raise FormatError(f"{path}: tensor {name} overruns the file")
-            arr = np.frombuffer(blob, dtype=dtype, count=n_bytes // dtype.itemsize,
-                                offset=off).reshape(shape)
-            out[name] = arr.astype(dtype.newbyteorder("="), copy=True)
+            out[name] = np.ndarray(shape, dtype, buffer=blob, offset=off)
             off += n_bytes
     except struct.error as e:  # a count or length that runs past the end
         raise FormatError(f"{path}: tensor headers run past the end of the file "
@@ -156,39 +158,33 @@ def load_checkpoint(path, params: HeadParams,
                     ) -> tuple[HeadParams, Optional[AdamState]]:
     """Load a checkpoint into existing structures (shape-checked by name).
 
-    Pass an AdamState to restore optimizer moments too; they are written
-    into its moment views in place. A checkpoint saved without them then
-    fails with FormatError.
+    Every value is copied into the array the structure already holds, so a
+    parameter keeps its .data (an Adam arena view stays one). Pass an
+    AdamState to restore optimizer moments too; a checkpoint saved without
+    them then fails with FormatError. Every name and shape is checked
+    before the first copy, so a FormatError leaves params and opt_state
+    untouched.
     """
     tensors = read_tensors(path)
-    for name, t in params.named_parameters():
+    named = list(params.named_parameters())
+    targets = {name: t.data for name, t in named}
+    if opt_state is not None:
+        targets["adam.step"] = np.empty(())
+        for prefix, store in (("adam.m.", opt_state.m), ("adam.v.", opt_state.v)):
+            targets.update((prefix + name, arr) for name, arr in store.items())
+    for name, dst in targets.items():
         if name not in tensors:
             raise FormatError(f"{path}: missing tensor {name}")
-        arr = tensors.pop(name)
-        if arr.shape != t.shape:
-            raise FormatError(
-                f"{path}: tensor {name} has shape {arr.shape}, expected {t.shape}")
-        if opt_state is not None and t.data is opt_state.bound.get(name):
-            t.data[...] = arr  # stays the arena view that adam_step updates
-        else:
-            t.data = arr.astype(t.data.dtype, copy=False)
-        t.grad = None
-    if opt_state is not None:
-        if "adam.step" not in tensors:
-            raise FormatError(f"{path}: missing tensor adam.step")
-        opt_state.step = int(tensors.pop("adam.step"))
-        for prefix, store in (("adam.m.", opt_state.m), ("adam.v.", opt_state.v)):
-            for name in list(store):
-                key = prefix + name
-                if key not in tensors:
-                    raise FormatError(f"{path}: missing tensor {key}")
-                arr = tensors.pop(key)
-                if arr.shape != store[name].shape:
-                    raise FormatError(
-                        f"{path}: tensor {key} has shape {arr.shape}, "
-                        f"expected {store[name].shape}")
-                store[name][...] = arr
-    unexpected = [k for k in tensors if not k.startswith("adam.")]
+        if tensors[name].shape != dst.shape:
+            raise FormatError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
+                              f"expected {dst.shape}")
+    unexpected = [k for k in tensors if k not in targets and not k.startswith("adam.")]
     if unexpected:
         raise FormatError(f"{path}: unexpected tensors {unexpected[:5]}")
+    for name, dst in targets.items():
+        dst[...] = tensors[name]
+    for _, t in named:
+        t.grad = None
+    if opt_state is not None:
+        opt_state.step = int(targets["adam.step"])
     return params, opt_state

@@ -96,10 +96,8 @@ PROFILES: dict[str, dict[str, object]] = {
                  avg_last_epochs=10, min_keep_patches=16, w_kpt=2.0,
                  w_twist=0.05, w_beta=0.5, n_samples=64, eval_samples=64,
                  noise_sigma=0.0),
-    "paper": dict(L=6, h=8, d=512, n_patches=64, c_in=512, dropout=0.1,
-                  max_lr=5e-4, warmup_steps=4000, epochs=200, batch_size=16,
-                  avg_last_epochs=10, n_samples=1024, eval_samples=256,
-                  noise_sigma=0.01),
+    # the defaults are the paper's settings
+    "paper": {},
 }
 
 

@@ -118,7 +118,7 @@ def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
         "matmul": lambda fault=0.0: check_op(
             lambda t: _weighted(T.matmul(t[0], t[1]), w44), [a44, b44], fault),
         "transpose": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.transpose(t[0]), w53), [x35], fault),
+            lambda t: _weighted(T.transpose(t[0], (1, 0)), w53), [x35], fault),
         "add": lambda fault=0.0: check_op(
             lambda t: _weighted(T.add(t[0], t[1]), w35), [x35, r(3, 5)], fault),
         "add_rowvec": lambda fault=0.0: check_op(
@@ -145,8 +145,7 @@ def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
             lambda t: _weighted(T.layer_norm(t[0], t[1], t[2], eps=1e-5), w35),
             [x35, gamma5, beta5], fault),
         "dropout": lambda fault=0.0: check_op(
-            lambda t: _weighted(
-                T.dropout(t[0], 0.3, np.random.default_rng(drop_seed), training=True), w35),
+            lambda t: _weighted(T.dropout(t[0], 0.3, np.random.default_rng(drop_seed)), w35),
             [x35], fault),
         "concat_last_dim": lambda fault=0.0: check_op(
             lambda t: _weighted(T.concat_last_dim([t[0], t[1]]), w_concat),

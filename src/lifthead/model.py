@@ -230,23 +230,22 @@ def _tile(x: Tensor, batch: int) -> Tensor:
 
 
 def _stage(attn_out: Tensor, residual: Tensor, ln: LayerNormParams, *,
-           dropout_p: float, rng, training: bool) -> Tensor:
+           dropout_p: float, rng) -> Tensor:
     """Dropout on the attention output, then residual add, layer norm, ReLU."""
-    if dropout_p > 0.0:
-        attn_out = T.dropout(attn_out, dropout_p, rng, training)
+    attn_out = T.dropout(attn_out, dropout_p, rng)
     return T.relu(T.layer_norm(attn_out, ln.gamma, ln.beta, residual=residual))
 
 
 def encode_2d_block(p: BlockParams, e_prev: Tensor, *, batch: int = 1,
-                    dropout_p: float = 0.0, rng=None, training: bool = False) -> Tensor:
+                    dropout_p: float = 0.0, rng=None) -> Tensor:
     a = B.multi_head_attention(p.mha_2d, e_prev, e_prev, e_prev, batch=batch)
-    b = _stage(a, e_prev, p.ln_2d, dropout_p=dropout_p, rng=rng, training=training)
-    return B.feed_forward(p.ffn_2d, b, dropout_p=dropout_p, rng=rng, training=training)
+    b = _stage(a, e_prev, p.ln_2d, dropout_p=dropout_p, rng=rng)
+    return B.feed_forward(p.ffn_2d, b, dropout_p=dropout_p, rng=rng)
 
 
 def encode_templates_block(p: BlockParams, e_prev_3d: Tensor, *, batch: int = 1,
                            shared: Optional[Tensor] = None, dropout_p: float = 0.0,
-                           rng=None, training: bool = False) -> Tensor:
+                           rng=None) -> Tensor:
     """Template self-attention; this stage has no FFN.
 
     shared, when set, is the (n_templates, d) matrix that every sample's
@@ -258,15 +257,15 @@ def encode_templates_block(p: BlockParams, e_prev_3d: Tensor, *, batch: int = 1,
         a = B.multi_head_attention(p.mha_3d, e_prev_3d, e_prev_3d, e_prev_3d, batch=batch)
     else:
         a = _tile(B.multi_head_attention(p.mha_3d, shared, shared, shared), batch)
-    return _stage(a, e_prev_3d, p.ln_3d, dropout_p=dropout_p, rng=rng, training=training)
+    return _stage(a, e_prev_3d, p.ln_3d, dropout_p=dropout_p, rng=rng)
 
 
 def decode_block(p: BlockParams, e_3d_t: Tensor, e_2d: Tensor, *, batch: int = 1,
-                 dropout_p: float = 0.0, rng=None, training: bool = False) -> Tensor:
+                 dropout_p: float = 0.0, rng=None) -> Tensor:
     """Cross-attend templates (queries) against this block's encoded patches."""
     a = B.multi_head_attention(p.mha_cross, e_3d_t, e_2d, e_2d, batch=batch)
-    b = _stage(a, e_3d_t, p.ln_cross, dropout_p=dropout_p, rng=rng, training=training)
-    return B.feed_forward(p.ffn_3d, b, dropout_p=dropout_p, rng=rng, training=training)
+    b = _stage(a, e_3d_t, p.ln_cross, dropout_p=dropout_p, rng=rng)
+    return B.feed_forward(p.ffn_3d, b, dropout_p=dropout_p, rng=rng)
 
 
 def encode_decode(cfg: HeadConfig, params: HeadParams, features: Tensor, *,
@@ -280,13 +279,15 @@ def encode_decode(cfg: HeadConfig, params: HeadParams, features: Tensor, *,
     The template stream of block l reads the decoder output of block l-1;
     the decoder of block l reads the 2D encoder output of the same block.
     Block 0's template stream is the same assembled rows for every sample,
-    so its self-attention runs once per batch.
+    so its self-attention runs once per batch. This is the one place that
+    turns training into a dropout probability: an eval forward runs every
+    stage at dropout_p = 0.
     """
     dropout_p = cfg.dropout if training else 0.0
     if dropout_p > 0.0 and rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
     batch = features.shape[0] if features.data.ndim == 3 else 1
-    kw = dict(batch=batch, dropout_p=dropout_p, rng=rng, training=training)
+    kw = dict(batch=batch, dropout_p=dropout_p, rng=rng)
     e_2d = embed_source(features, params.templates, patch_indices)
     templates = assemble_templates(params.templates, cfg)
     e_3d = _tile(templates, batch)

@@ -296,9 +296,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _maybe_record(out, (a, b), bwd)
 
 
-def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
-    """Permute the axes (reverse them by default, so a matrix is transposed)."""
-    axes = tuple(reversed(range(x.data.ndim))) if axes is None else tuple(axes)
+def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
+    """Permute the axes: axis i of the result is axis axes[i] of x."""
+    axes = tuple(axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise ShapeError(f"transpose: {axes} is not a permutation of the axes of {x.shape}")
     inverse = tuple(axes.index(i) for i in range(len(axes)))
@@ -468,18 +468,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     return _maybe_record(out, inputs, bwd)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero each element with probability p and scale the
-    survivors by 1/(1-p) in training mode; identity in eval mode."""
+    survivors by 1/(1-p). At p = 0 it returns x itself, drawing nothing from
+    rng and recording nothing, so an eval forward passes p = 0."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        out = Tensor(x.data.copy())
-
-        def bwd(g):
-            return (g,)
-
-        return _maybe_record(out, (x,), bwd)
+    if p == 0.0:
+        return x
     keep = rng.random(x.shape) >= p
     factor = keep * x.dtype.type(1.0 / (1.0 - p))
     out = Tensor(x.data * factor)

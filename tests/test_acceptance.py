@@ -15,7 +15,7 @@ import lifthead.gradcheck as G
 import lifthead.model as M
 import lifthead.synthetic as S
 import lifthead.training as TR
-from lifthead.cli import PROFILES
+from lifthead.cli import FIELDS, PROFILES, head_config
 from lifthead.tensor import Tensor
 
 
@@ -33,10 +33,7 @@ def criterion(n, name):
 
 
 def profile_head_config(name):
-    p = PROFILES[name]
-    return M.HeadConfig(L=p["L"], h=p["h"], d=p["d"],
-                        n_patches=p["n_patches"], c_in=p["c_in"],
-                        dropout=p["dropout"])
+    return head_config({**{f.name: f.default for f in FIELDS}, **PROFILES[name]})
 
 
 def test_01_gradient_suite():

@@ -157,6 +157,15 @@ class TestRawTensorIO:
         back = read_tensors(path)["step"]
         assert back.shape == () and back == 41.0
 
+    def test_arrays_are_read_only_views_of_one_buffer(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        rng = np.random.default_rng(0)
+        write_tensors(path, {"a": rng.standard_normal((3, 4)).astype(np.float32),
+                             "b": rng.standard_normal(7), "step": np.array(2.0)})
+        back = list(read_tensors(path).values())
+        assert len({id(arr.base) for arr in back}) == 1
+        assert not any(arr.flags.owndata or arr.flags.writeable for arr in back)
+
     def test_integer_dtype_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="dtype"):
             write_tensors(tmp_path / "t.ckpt", {"x": np.arange(3)})
@@ -350,6 +359,41 @@ class TestModelCheckpoints:
         load_checkpoint(p1, dst, dst_state)
         save_checkpoint(dst, dst_state, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_writes_into_the_existing_arrays(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        src = make_params(seed=1)
+        save_checkpoint(src, None, path)
+        dst = make_params(seed=2)
+        before = [t.data for _, t in dst.named_parameters()]
+        load_checkpoint(path, dst)
+        for arr, (_, t), (_, want) in zip(before, dst.named_parameters(),
+                                          src.named_parameters()):
+            assert t.data is arr
+            np.testing.assert_array_equal(arr, want.data)
+
+    def test_failed_load_changes_nothing(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        src = make_params(seed=1)
+        src_state = AdamState.init(src)
+        src_state.step = 5
+        src_state.m_flat[:] = 1.0
+        tensors = {n: t.data for n, t in src.named_parameters()}
+        last = list(tensors)[-1]
+        del tensors[last]
+        tensors["adam.step"] = np.array(5.0)
+        tensors.update((f"adam.{k}.{n}", arr) for k, store in
+                       (("m", src_state.m), ("v", src_state.v)) for n, arr in store.items())
+        write_tensors(path, tensors)
+        dst = make_params(seed=2)
+        dst_state = AdamState.init(dst)
+        flats = ("arena", "m_flat", "v_flat")
+        before = {name: getattr(dst_state, name).copy() for name in flats}
+        with pytest.raises(FormatError, match=last):
+            load_checkpoint(path, dst, dst_state)
+        for name in flats:
+            np.testing.assert_array_equal(getattr(dst_state, name), before[name])
+        assert dst_state.step == 0
 
     def test_missing_tensor_named(self, tmp_path):
         path = tmp_path / "m.ckpt"

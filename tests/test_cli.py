@@ -46,7 +46,8 @@ def strip_wall_ms(text):
 
 
 # the config block of `schedule --steps 1` at the defaults and at the tiny
-# profile: these lines are the stdout contract, in this order and format
+# profile (the paper profile is the defaults): these lines are the stdout
+# contract, in this order and format
 ECHO_DEFAULT = (
     "config.profile\tnone\n"
     "config.config_file\tnone\n"
@@ -119,8 +120,9 @@ class TestConfigResolution:
             assert f"config.{name}" in pairs, name
         assert out.startswith("config.profile\t")
 
-    @pytest.mark.parametrize("argv, block", [((), ECHO_DEFAULT),
-                                             (("--profile", "tiny"), ECHO_TINY)])
+    @pytest.mark.parametrize("argv, block", [
+        ((), ECHO_DEFAULT), (("--profile", "tiny"), ECHO_TINY),
+        (("--profile", "paper"), ECHO_DEFAULT.replace("none", "paper", 1))])
     def test_echo_block_is_pinned(self, capsys, argv, block):
         code, out, _ = run_cli(["schedule", "--steps", "1", *argv], capsys)
         assert code == 0

@@ -271,6 +271,15 @@ class TestInvariances:
         np.testing.assert_array_equal(a.twists.data, b.twists.data)
         np.testing.assert_array_equal(a.beta.data, b.beta.data)
 
+    def test_eval_forward_draws_nothing_from_rng(self):
+        cfg = tiny_cfg(dropout=0.3)
+        params = make_head(cfg, seed=2, dtype=np.float32)
+        gen = np.random.default_rng(4)
+        before = gen.bit_generator.state
+        M.forward(cfg, params, rand_features(cfg, seed=2, dtype=np.float32),
+                  training=False, rng=gen)
+        assert gen.bit_generator.state == before
+
     def test_training_dropout_depends_only_on_rng(self):
         cfg = tiny_cfg(dropout=0.4)
         params = make_head(cfg, seed=2, dtype=np.float32)
@@ -420,13 +429,13 @@ def unhoisted_encode_decode(cfg, params, features, *, training=False, rng=None,
                          1.0 / np.sqrt(p.scale_dim))
         heads = T.matmul(T.softmax_rows(scores), split(B.linear(p.v, v), (0, 2, 1, 3)))
         out = B.linear(p.out, T.reshape(T.transpose(heads, (0, 2, 1, 3)), q.shape))
-        return T.dropout(out, dropout_p, rng, training) if dropout_p > 0.0 else out
+        return T.dropout(out, dropout_p, rng)
 
     def stage(a, residual, ln):
         return T.relu(T.layer_norm(T.add(a, residual), ln.gamma, ln.beta))
 
     def ffn(p, x):
-        return B.feed_forward(p, x, dropout_p=dropout_p, rng=rng, training=training)
+        return B.feed_forward(p, x, dropout_p=dropout_p, rng=rng)
 
     t = params.templates
     joints, types = M.template_row_indices(cfg)
@@ -457,16 +466,18 @@ def template_grads(run, params, feats, w):
 
 
 def recording_dropout(monkeypatch):
-    """Patch T.dropout to log the keep mask of every call, read from a copy
-    of the generator's state before the call draws it."""
+    """Patch T.dropout to log the keep mask of every call that draws one
+    (p > 0), read from a copy of the generator's state before the call
+    draws it."""
     masks = []
     real = T.dropout
 
-    def dropout(x, p, rng, training):
-        probe = np.random.Generator(np.random.PCG64())
-        probe.bit_generator.state = rng.bit_generator.state
-        masks.append(probe.random(x.shape) >= p)
-        return real(x, p, rng, training)
+    def dropout(x, p, rng):
+        if p > 0.0:
+            probe = np.random.Generator(np.random.PCG64())
+            probe.bit_generator.state = rng.bit_generator.state
+            masks.append(probe.random(x.shape) >= p)
+        return real(x, p, rng)
 
     monkeypatch.setattr(T, "dropout", dropout)
     return masks
