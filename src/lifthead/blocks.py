@@ -120,7 +120,7 @@ def init_ffn(rng: np.random.Generator, d: int, dtype=np.float32) -> FFNParams:
 
 
 def linear(p: LinearParams, x: Tensor) -> Tensor:
-    return T.add(T.matmul(x, p.weight), p.bias)
+    return T.matmul(x, p.weight, p.bias)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale_dim: int) -> Tensor:

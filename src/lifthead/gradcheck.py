@@ -85,7 +85,7 @@ def _weighted(out: T.Tensor, w: np.ndarray) -> T.Tensor:
 def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
     """One finite-difference check per differentiable primitive, plus one
     per N-D form of matmul, transpose and softmax_rows, and one per folded
-    form of layer_norm (residual) and softmax_rows (scale).
+    form of layer_norm (residual), softmax_rows (scale) and matmul (bias).
 
     Returns a name -> callable map; each callable takes a fault factor and
     returns the worst relative error for that primitive.
@@ -121,8 +121,6 @@ def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
             lambda t: _weighted(T.transpose(t[0], (1, 0)), w53), [x35], fault),
         "add": lambda fault=0.0: check_op(
             lambda t: _weighted(T.add(t[0], t[1]), w35), [x35, r(3, 5)], fault),
-        "add_rowvec": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.add(t[0], t[1]), w35), [x35, bias5], fault),
         "sub": lambda fault=0.0: check_op(
             lambda t: _weighted(T.sub(t[0], t[1]), w35), [x35, r(3, 5)], fault),
         "mul": lambda fault=0.0: check_op(
@@ -177,6 +175,8 @@ def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
             [r(3, 7), r(7), r(7), r(3, 7)], fault),
         "softmax_scaled": lambda fault=0.0: check_op(
             lambda t: _weighted(T.softmax_rows(t[0], scale=2.5), w237), [r(2, 3, 7)], fault),
+        "matmul_bias": lambda fault=0.0: check_op(  # last: the other rows keep their draws
+            lambda t: _weighted(T.matmul(*t), w35), [r(3, 4), r(4, 5), bias5], fault),
     }
     return checks
 

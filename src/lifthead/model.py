@@ -209,10 +209,10 @@ def embed_source(features: Tensor, t: Templates,
         raise ShapeError(
             f"patch count {features.shape} does not match position encoding "
             f"{t.pos_enc.shape}")
-    keep = list(range(n_patches) if patch_indices is None else patch_indices)
-    rows = [s * n_patches + i for s in range(batch) for i in keep]
+    keep = np.arange(n_patches) if patch_indices is None else np.asarray(patch_indices, np.intp)
+    rows = (np.arange(batch)[:, None] * n_patches + keep).reshape(-1)
     x = T.gather_rows(T.reshape(features, (batch * n_patches, c_in)), rows)
-    return T.add(B.linear(t.input_proj, x), T.gather_rows(t.pos_enc, keep * batch))
+    return T.add(B.linear(t.input_proj, x), T.gather_rows(t.pos_enc, np.tile(keep, batch)))
 
 
 def assemble_templates(t: Templates, cfg: HeadConfig) -> Tensor:
@@ -311,10 +311,10 @@ def project_outputs(e_last: Tensor, proj_kpt: LinearParams, proj_twist: LinearPa
     n_samples = batch or 1
     n_rows = e_last.shape[0] // n_samples
     n_twists = n_rows - n_joints - 1
+    starts = np.arange(n_samples)[:, None] * n_rows  # each sample's first row
 
     def rows(lo: int, hi: int) -> Tensor:
-        return T.gather_rows(e_last, [s * n_rows + r for s in range(n_samples)
-                                      for r in range(lo, hi)])
+        return T.gather_rows(e_last, (starts + np.arange(lo, hi)).reshape(-1))
 
     kpt = B.linear(proj_kpt, rows(0, n_joints))
     twist_raw = B.linear(proj_twist, rows(n_joints, n_joints + n_twists))

@@ -86,10 +86,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_tape", "_node_id")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data)
+        arr = data if type(data) is np.ndarray else np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        elif arr.dtype.char not in "fd":  # float32, float64
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = requires_grad
@@ -166,28 +166,24 @@ class Tape:
 
     def record(self, out: Tensor, inputs: Sequence[Tensor],
                backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> None:
-        out._tape = self.key
-        out._node_id = next(self._ids)
-        refs = tuple(t._node_id if t._tape is self.key
-                     else t if t.requires_grad else None for t in inputs)
-        self.entries.append(_TapeEntry(out._node_id, refs, backward_fn))
+        key = out._tape = self.key
+        out._node_id = node_id = next(self._ids)
+        refs = [t._node_id if t._tape is key else t if t.requires_grad else None
+                for t in inputs]
+        self.entries.append(_TapeEntry(node_id, refs, backward_fn))
 
 
 _tape_stack: list[Tape] = []
 
 
-def active_tape() -> Optional[Tape]:
-    return _tape_stack[-1] if _tape_stack else None
-
-
-def _tracked(t: Tensor, tape: Tape) -> bool:
-    return t.requires_grad or t._tape is tape.key
-
-
 def _maybe_record(out, inputs, backward_fn):
-    tape = active_tape()
-    if tape is not None and any(_tracked(t, tape) for t in inputs):
-        tape.record(out, inputs, backward_fn)
+    if _tape_stack:
+        tape = _tape_stack[-1]
+        key = tape.key
+        for t in inputs:
+            if t.requires_grad or t._tape is key:
+                tape.record(out, inputs, backward_fn)
+                break
     return out
 
 
@@ -270,30 +266,41 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 # primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Matrix product over the last two axes, plus an optional bias.
 
     ``a`` is (..., m, k); ``b`` is either a (k, n) matrix shared by every
     leading index, whose gradient is then one 2-D product over all rows of
-    ``a``, or (..., k, n) with the same leading dims as ``a``.
+    ``a``, or (..., k, n) with the same leading dims as ``a``. An (n,)
+    ``bias``, only with a 2-D ``b``, is added to every row: one tape entry,
+    bit for bit the product and then a bias add (gradient: column sums).
     """
     ad, bd = a.data, b.data
     if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
             or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = Tensor(ad @ bd)
+    y = ad @ bd
+    if bias is not None:
+        if bd.ndim != 2 or bias.shape != bd.shape[1:]:
+            raise ShapeError(f"matmul: bias {bias.shape} does not fit {a.shape} x {b.shape}")
+        # in place unless the bias is wider: the dtype a separate add gives
+        y = np.add(y, bias.data, out=y if bias.dtype == y.dtype else None)
+    out = Tensor(y)
 
     if bd.ndim == 2:
+        n, has_bias = bd.shape[1], bias is not None
+
         def bwd(g):
+            g2 = g.reshape(-1, n)
             # a contiguous copy of b.T: OpenBLAS 0.3.31 on 2 threads took
             # 0.25-3 ms instead of 25 us for g @ b.T at (768, 32) x (32, 32)
-            return (g @ np.ascontiguousarray(bd.T),
-                    ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            grads = (g @ np.ascontiguousarray(bd.T), ad.reshape(-1, ad.shape[-1]).T @ g2)
+            return grads + (_col_sums(g2),) if has_bias else grads
     else:
         def bwd(g):
             return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
-    return _maybe_record(out, (a, b), bwd)
+    return _maybe_record(out, (a, b) if bias is None else (a, b, bias), bwd)
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
@@ -311,22 +318,14 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum. Also accepts a (n,) row vector b against an (m, n) a,
-    broadcast over rows (the bias case); no other broadcasting."""
-    if a.shape == b.shape:
-        out = Tensor(a.data + b.data)
-
-        def bwd(g):
-            return g, g
-
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        out = Tensor(a.data + b.data)
-
-        def bwd(g):
-            return g, _col_sums(g)
-
-    else:
+    """Elementwise sum of equal shapes; no broadcasting."""
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
+    out = Tensor(a.data + b.data)
+
+    def bwd(g):
+        return g, g
+
     return _maybe_record(out, (a, b), bwd)
 
 

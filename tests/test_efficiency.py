@@ -56,12 +56,12 @@ class TestTransformerFlops:
         counted = [0]
         real_matmul = T.matmul
 
-        def counting_matmul(a, b):
+        def counting_matmul(a, b, bias=None):
             products = int(np.prod(a.shape[:-2], dtype=np.int64))
             m, k = a.shape[-2:]
             n = b.shape[-1]
             counted[0] += 2 * products * m * k * n
-            return real_matmul(a, b)
+            return real_matmul(a, b, bias)
 
         monkeypatch.setattr(T, "matmul", counting_matmul)
         cfg = HeadConfig(L=2, h=2, d=8, n_patches=5, c_in=7, dropout=0.0)

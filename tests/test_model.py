@@ -408,6 +408,78 @@ class TestBatchedForward:
             M.project_outputs(Tensor(e), kpt, proj_twist, beta, batch=2)
 
 
+# ----------------------------------------------------------- gather indices
+
+def comprehension_embed_source(features, t, patch_indices=None):
+    """embed_source with its gather indices built by list comprehensions over
+    samples and rows, as they were before the np.arange arithmetic; kept as
+    the reference."""
+    batch = features.shape[0] if features.data.ndim == 3 else 1
+    n_patches, c_in = features.shape[-2:]
+    keep = list(range(n_patches) if patch_indices is None else patch_indices)
+    rows = [s * n_patches + i for s in range(batch) for i in keep]
+    x = T.gather_rows(T.reshape(features, (batch * n_patches, c_in)), rows)
+    return T.add(B.linear(t.input_proj, x), T.gather_rows(t.pos_enc, keep * batch))
+
+
+def comprehension_output_rows(n_samples, n_rows, n_joints):
+    """project_outputs' keypoint, twist and shape rows, by list comprehension."""
+    def rows(lo, hi):
+        return [s * n_rows + r for s in range(n_samples) for r in range(lo, hi)]
+
+    return [rows(0, n_joints), rows(n_joints, n_rows - 1), rows(n_rows - 1, n_rows)]
+
+
+def recorded_gathers(monkeypatch):
+    """The index list of every gather_rows call made from now on."""
+    calls = []
+    real = T.gather_rows
+
+    def recording(x, indices):
+        calls.append(np.asarray(indices).tolist())
+        return real(x, indices)
+
+    monkeypatch.setattr(T, "gather_rows", recording)
+    return calls
+
+
+class TestGatherIndices:
+    """embed_source and project_outputs gather exactly the rows that their
+    list comprehensions did, for unbatched input and batches of 1 and 4."""
+
+    @pytest.mark.parametrize("batch", [None, 1, 4])
+    @pytest.mark.parametrize("subset", [None, [3, 0, 2], [1]])
+    def test_embed_source(self, monkeypatch, batch, subset):
+        cfg = tiny_cfg()
+        params = make_head(cfg)
+        lead = () if batch is None else (batch,)
+        feats = Tensor(np.random.default_rng(5).standard_normal(lead + (cfg.n_patches, cfg.c_in)))
+        calls = recorded_gathers(monkeypatch)
+        got = M.embed_source(feats, params.templates, subset)
+        got_calls = calls[:]
+        want = comprehension_embed_source(feats, params.templates, subset)
+        assert got_calls == calls[len(got_calls):]
+        np.testing.assert_array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("batch", [None, 1, 4])
+    def test_project_outputs(self, monkeypatch, batch):
+        cfg = tiny_cfg()
+        params = make_head(cfg)
+        n = batch or 1
+        e = Tensor(np.random.default_rng(6).standard_normal((n * cfg.n_templates, cfg.d)))
+        calls = recorded_gathers(monkeypatch)
+        out = M.project_outputs(e, params.proj_kpt, params.proj_twist, params.proj_beta,
+                                n_joints=cfg.n_joints, batch=batch)
+        kpt, twist, beta = comprehension_output_rows(n, cfg.n_templates, cfg.n_joints)
+        assert calls == [kpt, twist, beta]
+        twists = T.normalize_rows(B.linear(params.proj_twist, Tensor(e.data[twist])),
+                                  eps=M.TWIST_NORM_FLOOR)
+        for got, want in ((out.keypoints, B.linear(params.proj_kpt, Tensor(e.data[kpt]))),
+                          (out.twists, twists),
+                          (out.beta, B.linear(params.proj_beta, Tensor(e.data[beta])))):
+            np.testing.assert_array_equal(got.data, want.data.reshape(got.shape))
+
+
 # ------------------------------------------------------- block-0 hoisting
 
 def unhoisted_encode_decode(cfg, params, features, *, training=False, rng=None,

@@ -146,6 +146,8 @@ class TestElementwiseAndStructural:
     def test_add_shape_mismatch(self):
         with pytest.raises(T.ShapeError):
             T.add(t64(np.zeros((2, 2))), t64(np.zeros((3, 2))))
+        with pytest.raises(T.ShapeError):  # no row-vector broadcast: matmul takes the bias
+            T.add(t64(np.zeros((2, 3))), t64(np.zeros(3)))
 
     def test_slice_rows_values_and_grad(self):
         x = t64(np.arange(12.0).reshape(4, 3), grad=True)
@@ -359,13 +361,16 @@ class TestFastKernels:
         for got, want in zip((out, dx, dgamma, dbeta), ref):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    @given(rows=st.integers(1, 40), n=st.integers(1, 70), seed=st.integers(0, 2**16))
+    @given(lead=lead_dims, rows=st.integers(1, 40), n=st.integers(1, 70),
+           seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
-    def test_bias_gradient_matches_reference_float64(self, rows, n, seed):
+    def test_bias_gradient_matches_reference_float64(self, lead, rows, n, seed):
         rng = np.random.default_rng(seed)
-        out, w_out, (_, dbias) = grads_of(T.add, rng.standard_normal((rows, n)),
-                                          rng.standard_normal(n))
-        np.testing.assert_allclose(dbias, w_out.sum(axis=0), rtol=1e-12, atol=1e-12)
+        x, w, bias = (rng.standard_normal(s) for s in (tuple(lead) + (rows, 3), (3, n), (n,)))
+        out, w_out, (_, _, dbias) = grads_of(T.matmul, x, w, bias)
+        np.testing.assert_array_equal(out, x @ w + bias)
+        np.testing.assert_allclose(dbias, w_out.reshape(-1, n).sum(axis=0),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_relu_matches_where_and_propagates_nan(self):
         x = np.random.default_rng(0).standard_normal((64, 33)).astype(np.float32)
@@ -414,10 +419,70 @@ class TestFastKernels:
             np.testing.assert_array_equal(out.data, x * (keep / (1.0 - p)).astype(x.dtype))
 
 
+def bias_add(x, bias):
+    """The (m, n) + (n,) add that matmul's bias replaced: its bias gradient
+    is the column sum."""
+    out = T.Tensor(x.data + bias.data)
+    return T._maybe_record(out, (x, bias), lambda g: (g, T._col_sums(g)))
+
+
 class TestFoldedOps:
-    """layer_norm's residual and softmax_rows' scale equal the compositions
-    they replace, add-then-norm and scale-then-softmax, bit for bit, forward
-    and backward."""
+    """layer_norm's residual, softmax_rows' scale and matmul's bias equal the
+    compositions they replace, add-then-norm, scale-then-softmax and
+    product-then-bias-add, bit for bit, forward and backward."""
+
+    @given(rows=st.integers(1, 40), k=st.integers(1, 33), n=st.integers(1, 49),
+           seed=st.integers(0, 2**16), dtype=st.sampled_from([np.float64, np.float32]))
+    @settings(max_examples=60, deadline=None)
+    def test_matmul_bias_is_product_then_bias_add(self, rows, k, n, seed, dtype):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(s) for s in ((rows, k), (k, n), (n,))]
+        folded = grads_of(T.matmul, *arrays, dtype=dtype)
+        composed = grads_of(lambda x, w, b: bias_add(T.matmul(x, w), b), *arrays, dtype=dtype)
+        assert folded[0].dtype == dtype
+        np.testing.assert_array_equal(folded[0], composed[0])
+        for got, want in zip(folded[2], composed[2]):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32, np.float64),
+                                        (np.float32, np.float64, np.float32),
+                                        (np.float64, np.float32, np.float32)])
+    def test_matmul_bias_promotes_like_a_separate_add(self, dtypes):
+        rng = np.random.default_rng(3)
+        arrays = [rng.standard_normal(s) for s in ((5, 4), (4, 3), (3,))]
+
+        def run(fn):
+            leaves = [T.Tensor(a, requires_grad=True, dtype=d) for a, d in zip(arrays, dtypes)]
+            with T.Tape() as tape:
+                out = fn(*leaves)
+                T.backward(T.sum_(T.mul(out, T.Tensor(np.ones(out.shape), dtype=out.dtype))),
+                           tape)
+            return out.data, [leaf.grad for leaf in leaves]
+
+        folded = run(T.matmul)
+        composed = run(lambda x, w, b: bias_add(T.matmul(x, w), b))
+        assert folded[0].dtype == composed[0].dtype == np.float64
+        np.testing.assert_array_equal(folded[0], composed[0])
+        for got, want in zip(folded[1], composed[1]):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_matmul_bias_shape_errors(self):
+        x, w = t64(np.ones((2, 3))), t64(np.ones((3, 4)))
+        for bad in (np.zeros(3), np.zeros(5), np.zeros((1, 4)), np.zeros((2, 4))):
+            with pytest.raises(T.ShapeError, match="bias"):
+                T.matmul(x, w, t64(bad))
+        with pytest.raises(T.ShapeError, match="bias"):  # a stack of matrices takes no bias
+            T.matmul(t64(np.ones((2, 2, 3))), t64(np.ones((2, 3, 4))), t64(np.zeros(4)))
+
+    def test_matmul_returns_one_gradient_per_input(self):
+        x, w = t64(np.ones((2, 3)), grad=True), t64(np.ones((3, 4)), grad=True)
+        with T.Tape() as tape:
+            T.matmul(x, w)
+            T.matmul(x, w, t64(np.zeros(4), grad=True))
+        for entry in tape.entries:
+            assert len(entry.backward_fn(np.ones((2, 4)))) == len(entry.inputs)
 
     @given(rows=st.integers(1, 30), n=st.integers(2, 49), seed=st.integers(0, 2**16),
            dtype=st.sampled_from([np.float64, np.float32]))
@@ -449,7 +514,8 @@ class TestFoldedOps:
         with T.Tape() as tape:
             T.layer_norm(x, t64(np.ones(3)), t64(np.zeros(3)), residual=r)
             T.softmax_rows(x, scale=0.5)
-        assert len(tape.entries) == 2
+            T.matmul(x, t64(np.ones((3, 4))), t64(np.zeros(4)))
+        assert len(tape.entries) == 3
 
     def test_layer_norm_returns_one_gradient_per_input(self):
         x, r = t64(np.ones((2, 3)), grad=True), t64(np.zeros((2, 3)), grad=True)
