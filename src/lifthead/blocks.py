@@ -89,7 +89,7 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def init_params(rng: np.random.Generator, fan_in: int, fan_out: int,
-                dtype=np.float32) -> LinearParams:
+                dtype=T.DEFAULT_DTYPE) -> LinearParams:
     """Xavier-uniform weights, zero bias."""
     return LinearParams(
         weight=Tensor(_xavier(rng, fan_in, fan_out).astype(dtype), requires_grad=True),
@@ -98,7 +98,7 @@ def init_params(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 def init_mha(rng: np.random.Generator, d: int, h: int, scale_dim: int | None = None,
-             dtype=np.float32) -> MHAParams:
+             dtype=T.DEFAULT_DTYPE) -> MHAParams:
     """Per-head Xavier draws (q, k, v of head 0, then of head 1, ...), each
     d -> d/h, written into head i's columns of the fused projections."""
     if d % h != 0:
@@ -115,7 +115,7 @@ def init_mha(rng: np.random.Generator, d: int, h: int, scale_dim: int | None = N
                      scale_dim=scale_dim if scale_dim is not None else d)
 
 
-def init_ffn(rng: np.random.Generator, d: int, dtype=np.float32) -> FFNParams:
+def init_ffn(rng: np.random.Generator, d: int, dtype=T.DEFAULT_DTYPE) -> FFNParams:
     return FFNParams(layers=[init_params(rng, d, d, dtype) for _ in range(3)])
 
 

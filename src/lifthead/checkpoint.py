@@ -154,9 +154,8 @@ def save_checkpoint(params: HeadParams, opt_state: Optional[AdamState], path) ->
 
 
 def load_checkpoint(path, params: HeadParams,
-                    opt_state: Optional[AdamState] = None
-                    ) -> tuple[HeadParams, Optional[AdamState]]:
-    """Load a checkpoint into existing structures (shape-checked by name).
+                    opt_state: Optional[AdamState] = None) -> None:
+    """Load a checkpoint in place, shape-checked by name; returns None.
 
     Every value is copied into the array the structure already holds, so a
     parameter keeps its .data (an Adam arena view stays one). Pass an
@@ -187,4 +186,3 @@ def load_checkpoint(path, params: HeadParams,
         t.grad = None
     if opt_state is not None:
         opt_state.step = int(targets["adam.step"])
-    return params, opt_state

@@ -31,8 +31,6 @@ from .efficiency import DeconvConfig, efficiency_report
 
 log = logging.getLogger("lifthead.cli")
 
-PRIMITIVE_TOLERANCE = 1e-6
-COMPOSED_TOLERANCE = 1e-4
 # offset so eval draws a split disjoint from the training stream
 HELDOUT_SEED_OFFSET = 1
 
@@ -50,20 +48,18 @@ class FieldSpec:
 
 
 _KINDS = {int: "int", float: "float", Optional[int]: "optint"}
-# the HeadConfig fields the CLI sets; the others keep their defaults
-MODEL_FIELDS = ("L", "h", "d", "n_patches", "c_in", "dropout", "attn_scale_dim")
 
 
-def _dataclass_fields(section: str, cls, names=None) -> tuple[FieldSpec, ...]:
-    """Specs for cls's fields (those in names, if given), in declaration
-    order, with kinds from the type hints and the dataclass defaults."""
+def _dataclass_fields(section: str, cls) -> tuple[FieldSpec, ...]:
+    """Specs for cls's fields, in declaration order, with kinds from the
+    type hints and the dataclass defaults."""
     hints = get_type_hints(cls)
     return tuple(FieldSpec(section, f.name, _KINDS[hints[f.name]], f.default)
-                 for f in dataclasses.fields(cls) if names is None or f.name in names)
+                 for f in dataclasses.fields(cls))
 
 
 FIELDS = (
-    _dataclass_fields("model", M.HeadConfig, MODEL_FIELDS)
+    _dataclass_fields("model", M.HeadConfig)
     + _dataclass_fields("train", TR.TrainConfig)
     + (FieldSpec("data", "n_samples", "int", 1024),
        FieldSpec("data", "eval_samples", "int", 256),
@@ -177,7 +173,7 @@ def echo_config(cfg: dict[str, object], args: argparse.Namespace) -> None:
 
 def _from_cfg(cls, cfg: dict[str, object]):
     """cls built from the entries of cfg that name its fields."""
-    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg})
+    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
 
 
 def head_config(cfg: dict[str, object]) -> M.HeadConfig:
@@ -241,11 +237,10 @@ def cmd_eval(cfg: dict[str, object]) -> int:
 
 
 def cmd_gradcheck(cfg: dict[str, object], inject_fault: Optional[str]) -> int:
-    results = G.run_primitive_suite(tolerance=PRIMITIVE_TOLERANCE,
-                                    seed=cfg["seed"], inject_fault=inject_fault)
+    results = G.run_primitive_suite(seed=cfg["seed"], inject_fault=inject_fault)
     for name, batch in (("composed_head", None), ("composed_head_batch3", 3)):
         err = G.composed_head_check(seed=cfg["seed"], batch=batch)
-        results.append((name, err, err < COMPOSED_TOLERANCE))
+        results.append((name, err, err < G.COMPOSED_TOLERANCE))
     failed = []
     for name, err, ok in results:
         print(f"gradcheck.{name}\t{err:.3e}\t{'pass' if ok else 'fail'}")

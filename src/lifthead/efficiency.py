@@ -31,7 +31,7 @@ class DeconvConfig:
     in_channels: int = 512
     channels: tuple[int, int, int] = (256, 256, 256)
     kernel: int = 4
-    heatmap_joints: int = 24
+    heatmap_joints: int = HeadConfig.n_joints
     depth_bins: int = 64
     grid: int = 8  # input spatial side; must match n_patches = grid**2
 

@@ -15,6 +15,8 @@ import numpy as np
 from . import tensor as T
 
 FD_STEP = 1e-5
+PRIMITIVE_TOLERANCE = 1e-6  # worst relative error that passes, per primitive
+COMPOSED_TOLERANCE = 1e-4   # and for the whole head
 
 
 def numeric_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -181,7 +183,7 @@ def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
     return checks
 
 
-def run_primitive_suite(tolerance: float = 1e-6, seed: int = 0,
+def run_primitive_suite(tolerance: float = PRIMITIVE_TOLERANCE, seed: int = 0,
                         inject_fault: str | None = None) -> list[tuple[str, float, bool]]:
     """Run every primitive check; returns (name, worst rel error, passed) rows."""
     results = []

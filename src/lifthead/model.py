@@ -7,9 +7,8 @@ block's decoder output), and cross-attention decoding templates against the
 same block's encoded patches. Each stage applies residual add, layer norm,
 then ReLU, in that order; the 2D encoder and the decoder end in a 3-layer
 FFN while the template stage has none. There is one template row per output
-- 24 keypoints, 23 twists, 1 shape row, 48 in all - and the final embedding
-is projected row-wise into 24 3D keypoints, 23 unit-norm (cos, sin) twist
-pairs and a 10-dim body shape vector.
+(HeadConfig holds the layout), and the final embedding is projected row-wise
+into 3D keypoints, unit-norm (cos, sin) twist pairs and a body shape vector.
 
 A batch of B samples runs as one pass: both streams are (B*rows, d)
 matrices, sample-major, and every stage takes the batch size to split them
@@ -21,7 +20,7 @@ its template self-attention runs once per batch and is tiled to the samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -39,48 +38,40 @@ class NormalizationDegenerateError(ValueError):
 
 @dataclass
 class HeadConfig:
-    """Architectural hyperparameters of the lifting head."""
+    """Architectural hyperparameters of the lifting head. The pose layout is
+    HybrIK's, fixed by the kinematic tree: class constants, not fields."""
+    n_joints: ClassVar[int] = 24
+    n_twists: ClassVar[int] = n_joints - 1  # one per non-root joint
+    beta_dim: ClassVar[int] = 10
+    n_templates: ClassVar[int] = n_joints + n_twists + 1  # a row per output
     L: int = 6                # transformer blocks
     h: int = 8                # attention heads
     d: int = 512              # model width
     n_patches: int = 64       # source tokens (8x8 backbone grid)
     c_in: int = 512           # backbone channels per patch
     dropout: float = 0.1
-    n_joints: int = 24
-    n_twists: int = 23
-    beta_dim: int = 10
     # attention score divisor; defaults to the model-wide width d
     attn_scale_dim: Optional[int] = None
-    # template row -> joint embedding wiring: twist j uses joint
-    # twist_first_joint + j (the non-root joints); the single shape row
-    # anchors to shape_anchor_joint
-    twist_first_joint: int = 1
-    shape_anchor_joint: int = 0
 
     def __post_init__(self):
-        for name in ("L", "h", "d", "n_patches", "c_in", "n_joints", "n_twists", "beta_dim"):
+        for name in ("L", "h", "d", "n_patches", "c_in"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d % self.h != 0:
             raise ValueError(f"width d={self.d} must be divisible by h={self.h} heads")
-        if self.n_twists != self.n_joints - 1:
-            raise ValueError(
-                f"expected one twist per non-root joint, got {self.n_twists} twists "
-                f"for {self.n_joints} joints")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.twist_first_joint + self.n_twists > self.n_joints:
-            raise ValueError("twist_first_joint maps twists past the last joint")
-        if not 0 <= self.shape_anchor_joint < self.n_joints:
-            raise ValueError("shape_anchor_joint out of range")
-
-    @property
-    def n_templates(self) -> int:
-        return self.n_joints + self.n_twists + 1
 
     @property
     def scale_dim(self) -> int:
         return self.attn_scale_dim if self.attn_scale_dim is not None else self.d
+
+
+# (joint, type) of each template row: keypoint j on joint j, twist j on
+# joint j + 1, the shape row on the root; types 0 keypoint, 1 twist, 2 shape
+TEMPLATE_JOINTS = np.array([*range(HeadConfig.n_joints),
+                            *(1 + j for j in range(HeadConfig.n_twists)), 0])
+TEMPLATE_TYPES = np.array([0] * HeadConfig.n_joints + [1] * HeadConfig.n_twists + [2])
 
 
 @dataclass
@@ -128,8 +119,8 @@ class HeadParams:
 
 @dataclass
 class PoseOutput:
-    """24 3D keypoints, 23 (cos, sin) twist pairs, 10-dim shape vector; a
-    batched forward puts a leading batch axis on each."""
+    """Keypoints, (cos, sin) twist pairs and the shape vector, laid out as
+    HeadConfig says; a batched forward puts a leading batch axis on each."""
     keypoints: Tensor  # ([B,] n_joints, 3)
     twists: Tensor     # ([B,] n_twists, 2), unit-norm rows
     beta: Tensor       # ([B,] beta_dim)
@@ -149,7 +140,7 @@ def _init_embedding(rng: np.random.Generator, rows: int, d: int, dtype) -> Tenso
                   requires_grad=True)
 
 
-def init_head(cfg: HeadConfig, rng: np.random.Generator, dtype=np.float32) -> HeadParams:
+def init_head(cfg: HeadConfig, rng: np.random.Generator, dtype=T.DEFAULT_DTYPE) -> HeadParams:
     """Fresh parameters for every stage; deterministic for a given rng state."""
     templates = Templates(
         joint_emb=_init_embedding(rng, cfg.n_joints, cfg.d, dtype),
@@ -176,15 +167,6 @@ def init_head(cfg: HeadConfig, rng: np.random.Generator, dtype=np.float32) -> He
         proj_twist=B.init_params(rng, cfg.d, 2, dtype),
         proj_beta=B.init_params(rng, cfg.d, cfg.beta_dim, dtype),
     )
-
-
-def template_row_indices(cfg: HeadConfig) -> tuple[list[int], list[int]]:
-    """(joint index, type index) per template row: keypoints, twists, shape."""
-    joints = list(range(cfg.n_joints))
-    joints += [cfg.twist_first_joint + j for j in range(cfg.n_twists)]
-    joints.append(cfg.shape_anchor_joint)
-    types = [0] * cfg.n_joints + [1] * cfg.n_twists + [2]
-    return joints, types
 
 
 def embed_source(features: Tensor, t: Templates,
@@ -215,12 +197,12 @@ def embed_source(features: Tensor, t: Templates,
     return T.add(B.linear(t.input_proj, x), T.gather_rows(t.pos_enc, np.tile(keep, batch)))
 
 
-def assemble_templates(t: Templates, cfg: HeadConfig) -> Tensor:
+def assemble_templates(t: Templates) -> Tensor:
     """(n_templates, d) matrix: each row is a joint embedding plus its
     output-type embedding (keypoint rows, then twist rows, then the shape
     row). Every sample's template stream starts from these rows."""
-    joints, types = template_row_indices(cfg)
-    return T.add(T.gather_rows(t.joint_emb, joints), T.gather_rows(t.type_emb, types))
+    return T.add(T.gather_rows(t.joint_emb, TEMPLATE_JOINTS),
+                 T.gather_rows(t.type_emb, TEMPLATE_TYPES))
 
 
 def _tile(x: Tensor, batch: int) -> Tensor:
@@ -289,7 +271,7 @@ def encode_decode(cfg: HeadConfig, params: HeadParams, features: Tensor, *,
     batch = features.shape[0] if features.data.ndim == 3 else 1
     kw = dict(batch=batch, dropout_p=dropout_p, rng=rng)
     e_2d = embed_source(features, params.templates, patch_indices)
-    templates = assemble_templates(params.templates, cfg)
+    templates = assemble_templates(params.templates)
     e_3d = _tile(templates, batch)
     for i, blk in enumerate(params.blocks):
         e_2d = encode_2d_block(blk, e_2d, **kw)
@@ -300,18 +282,16 @@ def encode_decode(cfg: HeadConfig, params: HeadParams, features: Tensor, *,
 
 
 def project_outputs(e_last: Tensor, proj_kpt: LinearParams, proj_twist: LinearParams,
-                    proj_beta: LinearParams, *, n_joints: int = 24,
-                    training: bool = False, batch: Optional[int] = None) -> PoseOutput:
+                    proj_beta: LinearParams, *, training: bool = False,
+                    batch: Optional[int] = None) -> PoseOutput:
     """Row-wise output projections of the final template embedding.
 
     e_last holds the template rows of one sample (batch None: unbatched
     outputs) or of batch samples, sample-major (outputs lead with batch).
     """
     lead = () if batch is None else (batch,)
-    n_samples = batch or 1
-    n_rows = e_last.shape[0] // n_samples
-    n_twists = n_rows - n_joints - 1
-    starts = np.arange(n_samples)[:, None] * n_rows  # each sample's first row
+    n_joints, n_twists = HeadConfig.n_joints, HeadConfig.n_twists
+    starts = np.arange(batch or 1)[:, None] * HeadConfig.n_templates  # each sample's first row
 
     def rows(lo: int, hi: int) -> Tensor:
         return T.gather_rows(e_last, (starts + np.arange(lo, hi)).reshape(-1))
@@ -327,7 +307,7 @@ def project_outputs(e_last: Tensor, proj_kpt: LinearParams, proj_twist: LinearPa
                 f"sample {sample} twist row {row} has norm {norms[bad]:.3e} "
                 f"< {TWIST_NORM_FLOOR}")
     twists = T.normalize_rows(twist_raw, eps=TWIST_NORM_FLOOR)
-    beta = B.linear(proj_beta, rows(n_rows - 1, n_rows))
+    beta = B.linear(proj_beta, rows(n_joints + n_twists, HeadConfig.n_templates))
     return PoseOutput(
         keypoints=T.reshape(kpt, lead + (n_joints, kpt.shape[1])),
         twists=T.reshape(twists, lead + (n_twists, twists.shape[1])),
@@ -346,10 +326,10 @@ def forward(cfg: HeadConfig, params: HeadParams, features: Tensor, *,
                             patch_indices=patch_indices)
     batch = features.shape[0] if features.data.ndim == 3 else None
     return project_outputs(e_3d, params.proj_kpt, params.proj_twist, params.proj_beta,
-                           n_joints=cfg.n_joints, training=training, batch=batch)
+                           training=training, batch=batch)
 
 
-def pose_output_from_arrays(keypoints, twists, beta, dtype=np.float32) -> PoseOutput:
+def pose_output_from_arrays(keypoints, twists, beta, dtype=T.DEFAULT_DTYPE) -> PoseOutput:
     """Wrap plain arrays as a (non-learnable) PoseOutput, e.g. training targets."""
     return PoseOutput(
         keypoints=Tensor(np.asarray(keypoints), dtype=dtype),

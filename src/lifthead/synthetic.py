@@ -11,17 +11,15 @@ achievable goal and a meaningful health signal for the whole head.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .model import PoseOutput, pose_output_from_arrays
+from .model import HeadConfig, PoseOutput, pose_output_from_arrays
 from .tensor import Tensor
 
-N_JOINTS = 24
-N_TWISTS = 23
-BETA_DIM = 10
-TARGET_DIM = N_JOINTS * 3 + N_TWISTS * 2 + BETA_DIM  # 128
+N_JOINTS, N_TWISTS, BETA_DIM = HeadConfig.n_joints, HeadConfig.n_twists, HeadConfig.beta_dim
+TARGET_DIM = N_JOINTS * 3 + N_TWISTS * 2 + BETA_DIM
+KEYPOINT_STD = 0.3  # spread of every sampled keypoint coordinate
 
 
 @dataclass
@@ -31,7 +29,6 @@ class SyntheticGen:
     n_patches: int = 64
     c_in: int = 512
     noise_sigma: float = 0.01
-    keypoint_std: float = 0.3
 
     def __post_init__(self):
         if self.n_patches < 1 or self.c_in < 1:
@@ -86,7 +83,7 @@ def generate(n: int, gen: SyntheticGen) -> list[tuple[Tensor, PoseOutput]]:
     noise_rng = np.random.default_rng((gen.seed, 0x0153))
     out = []
     for _ in range(n):
-        kpt = rng.normal(0.0, gen.keypoint_std, size=(N_JOINTS, 3)).astype(np.float32)
+        kpt = rng.normal(0.0, KEYPOINT_STD, size=(N_JOINTS, 3)).astype(np.float32)
         angles = rng.uniform(-np.pi, np.pi, size=N_TWISTS)
         twists = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(np.float32)
         twists /= np.linalg.norm(twists, axis=1, keepdims=True)

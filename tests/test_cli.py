@@ -1,5 +1,6 @@
 """CLI behavior: config layering, echo header, exit codes, artifacts."""
 
+import dataclasses
 import os
 import struct
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import lifthead.checkpoint as C
 import lifthead.model as M
+import lifthead.synthetic as S
 import lifthead.training as TR
 from lifthead.cli import FIELDS, main
 
@@ -106,6 +108,52 @@ ECHO_TINY = (
     "config.checkpoint\t\n"
 )
 
+# the `params` report that follows the echo: the profile-dependent counts
+# and architecture, then the pose layout, the baseline and the notes
+PARAMS_PAPER = (
+    "transformer_head_params\t28702223\n"
+    "deconv_head_params\t4589824\n"
+    "param_ratio\t6.253447\n"
+    "transformer_head_flops\t3320971264\n"
+    "deconv_head_flops\t15032385536\n"
+    "flop_ratio\t0.220921\n"
+    "assumption.transformer.L\t6\n"
+    "assumption.transformer.h\t8\n"
+    "assumption.transformer.d\t512\n"
+    "assumption.transformer.n_patches\t64\n"
+    "assumption.transformer.c_in\t512\n"
+)
+
+PARAMS_TINY = (
+    "transformer_head_params\t41327\n"
+    "deconv_head_params\t4589824\n"
+    "param_ratio\t0.009004\n"
+    "transformer_head_flops\t3252224\n"
+    "deconv_head_flops\t15032385536\n"
+    "flop_ratio\t0.000216\n"
+    "assumption.transformer.L\t2\n"
+    "assumption.transformer.h\t2\n"
+    "assumption.transformer.d\t32\n"
+    "assumption.transformer.n_patches\t16\n"
+    "assumption.transformer.c_in\t32\n"
+)
+
+PARAMS_TAIL = (
+    "assumption.transformer.n_joints\t24\n"
+    "assumption.transformer.n_twists\t23\n"
+    "assumption.transformer.beta_dim\t10\n"
+    "assumption.deconv.in_channels\t512\n"
+    "assumption.deconv.channels\t256x256x256\n"
+    "assumption.deconv.kernel\t4\n"
+    "assumption.deconv.heatmap_joints\t24\n"
+    "assumption.deconv.depth_bins\t64\n"
+    "assumption.deconv.grid\t8\n"
+    "note.flop_accounting\tmultiply-add = 2 ops; softmax/norm/activation excluded\n"
+    "note.gpu_memory\tnot reproduced (hardware-bound)\n"
+    "note.wall_clock\tnot reproduced (hardware-bound)\n"
+    "note.proxy\tparameter and FLOP counts are the desk-scale proxy\n"
+)
+
 
 class TestConfigResolution:
     def test_echo_header_lists_every_field(self, capsys):
@@ -119,6 +167,17 @@ class TestConfigResolution:
                      "out_dir", "metrics_file", "checkpoint"):
             assert f"config.{name}" in pairs, name
         assert out.startswith("config.profile\t")
+
+    def test_model_fields_and_layout_have_one_source(self):
+        """Every HeadConfig field is a [model] field, in order, and the pose
+        layout constants are the shapes of the synthetic targets."""
+        hc = M.HeadConfig
+        names = [f.name for f in dataclasses.fields(hc)]
+        assert names == ["L", "h", "d", "n_patches", "c_in", "dropout", "attn_scale_dim"]
+        assert names == [f.name for f in FIELDS if f.section == "model"]
+        _, target = S.generate(1, S.SyntheticGen(n_patches=4, c_in=32))[0]
+        assert [t.shape for t in (target.keypoints, target.twists, target.beta)] == [
+            (hc.n_joints, 3), (hc.n_twists, 2), (hc.beta_dim,)]
 
     @pytest.mark.parametrize("argv, block", [
         ((), ECHO_DEFAULT), (("--profile", "tiny"), ECHO_TINY),
@@ -278,6 +337,14 @@ class TestParams:
         pairs = kv(out)
         assert pairs["assumption.transformer.d"] == "32"
         assert int(pairs["transformer_head_params"]) < 28_702_223
+
+    @pytest.mark.parametrize("profile, echo, report", [
+        ("paper", ECHO_DEFAULT.replace("none", "paper", 1), PARAMS_PAPER),
+        ("tiny", ECHO_TINY, PARAMS_TINY)], ids=["paper", "tiny"])
+    def test_stdout_is_pinned(self, capsys, profile, echo, report):
+        code, out, _ = run_cli(["params", "--profile", profile], capsys)
+        assert code == 0
+        assert out == echo + report + PARAMS_TAIL
 
 
 class TestGradcheck:
@@ -456,16 +523,22 @@ class TestEval:
         assert code == 1 and "shape" in err.lower()
 
 
+def run_module(*argv):
+    """`python -m lifthead` in a child process that imports the same package
+    as these tests, also from a checkout where it is not installed."""
+    src = os.path.dirname(os.path.dirname(C.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "lifthead", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lifthead", "schedule", "--steps", "2"],
-            capture_output=True, text=True)
+        proc = run_module("schedule", "--steps", "2")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1].startswith("2\t")
 
     def test_module_invocation_propagates_failure(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lifthead", "params", "--profile", "nope"],
-            capture_output=True, text=True)
+        proc = run_module("params", "--profile", "nope")
         assert proc.returncode == 1
+        assert "config error: profile" in proc.stderr

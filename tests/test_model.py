@@ -73,8 +73,7 @@ def np_forward(cfg, params, feats, patch_indices=None):
     t = params.templates
     keep = list(range(cfg.n_patches)) if patch_indices is None else list(patch_indices)
     e2d = np_linear(t.input_proj, feats[keep]) + t.pos_enc.data[keep]
-    joints, types = M.template_row_indices(cfg)
-    e3d = t.joint_emb.data[joints] + t.type_emb.data[types]
+    e3d = t.joint_emb.data[M.TEMPLATE_JOINTS] + t.type_emb.data[M.TEMPLATE_TYPES]
     for blk in params.blocks:
         e2d = np_ffn(blk.ffn_2d, np_stage(np_mha(blk.mha_2d, e2d, e2d, e2d), e2d, blk.ln_2d))
         e3d_t = np_stage(np_mha(blk.mha_3d, e3d, e3d, e3d), e3d, blk.ln_3d)
@@ -101,10 +100,6 @@ class TestHeadConfig:
         with pytest.raises(ValueError, match="divisible"):
             HeadConfig(d=10, h=3)
 
-    def test_twist_count_tied_to_joints(self):
-        with pytest.raises(ValueError, match="twist"):
-            HeadConfig(n_joints=24, n_twists=22)
-
     def test_scale_dim_override(self):
         assert HeadConfig(attn_scale_dim=64).scale_dim == 64
 
@@ -120,10 +115,13 @@ class TestHeadConfig:
 
 class TestTemplateAssembly:
     def test_row_wiring(self):
+        np.testing.assert_array_equal(M.TEMPLATE_JOINTS,
+                                      list(range(24)) + list(range(1, 24)) + [0])
+        np.testing.assert_array_equal(M.TEMPLATE_TYPES, [0] * 24 + [1] * 23 + [2])
         cfg = tiny_cfg()
         params = make_head(cfg)
         t = params.templates
-        e = M.assemble_templates(t, cfg)
+        e = M.assemble_templates(t)
         assert e.shape == (48, cfg.d)
         je, te = t.joint_emb.data, t.type_emb.data
         for j in range(24):
@@ -133,16 +131,10 @@ class TestTemplateAssembly:
         np.testing.assert_array_equal(e.data[47], je[0] + te[2])
 
     def test_every_joint_and_type_used(self):
-        cfg = tiny_cfg()
-        joints, types = M.template_row_indices(cfg)
-        assert len(joints) == len(types) == 48
-        assert set(joints) == set(range(24))
-        assert set(types) == {0, 1, 2}
-
-    def test_anchor_knobs(self):
-        cfg = tiny_cfg(twist_first_joint=0, shape_anchor_joint=5)
-        joints, _ = M.template_row_indices(cfg)
-        assert joints[24] == 0 and joints[-1] == 5
+        joints, types = M.TEMPLATE_JOINTS, M.TEMPLATE_TYPES
+        assert len(joints) == len(types) == HeadConfig.n_templates == 48
+        assert set(joints.tolist()) == set(range(HeadConfig.n_joints))
+        assert set(types.tolist()) == {0, 1, 2}
 
 
 class TestEmbedSource:
@@ -206,8 +198,8 @@ class TestBlockComposition:
         cfg, params = self.cfg, self.params
         feats = rand_features(cfg, seed=9)
         e2d = np_linear(params.templates.input_proj, feats.data) + params.templates.pos_enc.data
-        joints, types = M.template_row_indices(cfg)
-        e3d = params.templates.joint_emb.data[joints] + params.templates.type_emb.data[types]
+        e3d = (params.templates.joint_emb.data[M.TEMPLATE_JOINTS]
+               + params.templates.type_emb.data[M.TEMPLATE_TYPES])
         for blk in params.blocks:
             e2d = np_ffn(blk.ffn_2d, np_stage(
                 np_mha(blk.mha_2d, e2d, e2d, e2d), e2d, blk.ln_2d))
@@ -315,8 +307,7 @@ class TestOutputs:
         cfg = tiny_cfg()
         params = make_head(cfg, seed=0)
         _, e3d = M.encode_decode(cfg, params, rand_features(cfg))
-        out = M.project_outputs(e3d, params.proj_kpt, params.proj_twist,
-                                params.proj_beta, n_joints=cfg.n_joints)
+        out = M.project_outputs(e3d, params.proj_kpt, params.proj_twist, params.proj_beta)
         np.testing.assert_allclose(
             out.keypoints.data, np_linear(params.proj_kpt, e3d.data[:24]), atol=1e-12)
         raw = np_linear(params.proj_twist, e3d.data[24:47])
@@ -469,7 +460,7 @@ class TestGatherIndices:
         e = Tensor(np.random.default_rng(6).standard_normal((n * cfg.n_templates, cfg.d)))
         calls = recorded_gathers(monkeypatch)
         out = M.project_outputs(e, params.proj_kpt, params.proj_twist, params.proj_beta,
-                                n_joints=cfg.n_joints, batch=batch)
+                                batch=batch)
         kpt, twist, beta = comprehension_output_rows(n, cfg.n_templates, cfg.n_joints)
         assert calls == [kpt, twist, beta]
         twists = T.normalize_rows(B.linear(params.proj_twist, Tensor(e.data[twist])),
@@ -510,10 +501,9 @@ def unhoisted_encode_decode(cfg, params, features, *, training=False, rng=None,
         return B.feed_forward(p, x, dropout_p=dropout_p, rng=rng)
 
     t = params.templates
-    joints, types = M.template_row_indices(cfg)
     e2d = M.embed_source(features, t, patch_indices)
-    e3d = T.add(T.gather_rows(t.joint_emb, joints * batch),
-                T.gather_rows(t.type_emb, types * batch))
+    e3d = T.add(T.gather_rows(t.joint_emb, np.tile(M.TEMPLATE_JOINTS, batch)),
+                T.gather_rows(t.type_emb, np.tile(M.TEMPLATE_TYPES, batch)))
     for blk in params.blocks:
         e2d = ffn(blk.ffn_2d, stage(mha(blk.mha_2d, e2d, e2d, e2d), e2d, blk.ln_2d))
         e3d_t = stage(mha(blk.mha_3d, e3d, e3d, e3d), e3d, blk.ln_3d)
