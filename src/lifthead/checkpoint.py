@@ -15,7 +15,6 @@ place, so a failed write leaves any earlier file at the path intact.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import struct
@@ -24,6 +23,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from . import workers as W
 from .model import HeadParams
 from .training import AdamState
 
@@ -32,6 +32,13 @@ VERSION = 2
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+# array bytes from which write_tensors computes the CRC32 on a pool thread.
+# Below it the hand-off costs more than the overlap saves: on 2 CPUs a
+# 521 KB tiny-profile epoch checkpoint took 3.06 ms with the worker against
+# 2.03 ms inline, and 1 MB took 9% longer (medians of alternating writes).
+# Written on their own, 2-115 MB payloads timed within noise either way;
+# in paper train() calls, traced saves went 453 -> 317 ms per call.
+CRC_WORKER_BYTES = 1 << 22
 
 
 class CheckpointError(Exception):
@@ -50,11 +57,15 @@ def write_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
     """Serialize name->array pairs in iteration order.
 
     Every tensor is validated before the file is opened. Headers and array
-    buffers are then written straight to ``<path>.tmp`` under a running
-    CRC32, without joining them in memory, and the file is renamed to
-    ``path``; on any failure the temporary file is removed.
+    buffers are then written straight to ``<path>.tmp``, without joining
+    them in memory, and the file is renamed to ``path``; on any failure the
+    temporary file is removed. Their CRC32 is computed from the same
+    buffers: for a payload of at least CRC_WORKER_BYTES, on a pool thread
+    (workers.run_all) while the caller writes, and joined before the
+    trailer is written or the failure is raised.
     """
-    records = []
+    bufs = [MAGIC + struct.pack("<II", VERSION, len(tensors))]
+    size = 0
     for name, arr in tensors.items():
         arr = np.asarray(arr)
         if arr.dtype not in _DTYPE_CODES:
@@ -62,20 +73,31 @@ def write_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
         name_b = name.encode("utf-8")
         if len(name_b) > 0xFFFF:
             raise FormatError(f"tensor name too long: {name!r}")
-        header = (struct.pack("<H", len(name_b)) + name_b
-                  + struct.pack(f"<B{arr.ndim}QB", arr.ndim, *arr.shape,
-                                _DTYPE_CODES[arr.dtype]))
-        records.append((header, np.ascontiguousarray(
-            arr, dtype=arr.dtype.newbyteorder("<"))))
+        bufs.append(struct.pack("<H", len(name_b)) + name_b
+                    + struct.pack(f"<B{arr.ndim}QB", arr.ndim, *arr.shape,
+                                  _DTYPE_CODES[arr.dtype]))
+        bufs.append(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
+        size += arr.nbytes
+
+    def checksum():
+        crc = 0
+        for buf in bufs:
+            crc = zlib.crc32(buf, crc)
+        return crc
+
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:
-            crc = 0
-            for buf in itertools.chain([MAGIC + struct.pack("<II", VERSION, len(records))],
-                                       *records):
-                f.write(buf)
-                crc = zlib.crc32(buf, crc)
-            f.write(struct.pack("<I", crc & 0xFFFFFFFF))
+            def write():
+                for buf in bufs:
+                    f.write(buf)
+
+            if W.CPUS > 1 and size >= CRC_WORKER_BYTES:
+                _, crc = W.run_all([write, checksum])
+            else:
+                write()
+                crc = checksum()
+            f.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

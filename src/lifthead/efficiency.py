@@ -55,7 +55,7 @@ def transformer_head_params(cfg: HeadConfig) -> int:
             + cfg.n_patches * d                    # position encoding
             + (cfg.n_joints * d + 3 * d)           # joint + type embeddings
             + cfg.L * block
-            + (d * 3 + 3) + (d * 2 + 2) + (d * cfg.beta_dim + cfg.beta_dim))
+            + (d + 1) * (cfg.kpt_width + cfg.twist_width + cfg.beta_dim))
 
 
 def transformer_head_flops(cfg: HeadConfig) -> int:
@@ -71,7 +71,7 @@ def transformer_head_flops(cfg: HeadConfig) -> int:
         return 3 * 2 * rows * d * d
 
     block = mha(p, p) + mha(t, t) + mha(t, p) + ffn(p) + ffn(t)
-    out = 2 * d * (cfg.n_joints * 3 + cfg.n_twists * 2 + cfg.beta_dim)
+    out = 2 * d * cfg.pose_dim
     return 2 * p * cfg.c_in * d + cfg.L * block + out
 
 

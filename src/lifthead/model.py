@@ -44,6 +44,10 @@ class HeadConfig:
     n_twists: ClassVar[int] = n_joints - 1  # one per non-root joint
     beta_dim: ClassVar[int] = 10
     n_templates: ClassVar[int] = n_joints + n_twists + 1  # a row per output
+    kpt_width: ClassVar[int] = 3    # (x, y, z) per keypoint
+    twist_width: ClassVar[int] = 2  # (cos, sin) per twist
+    # length of the pose flattened as keypoints, twists, shape
+    pose_dim: ClassVar[int] = n_joints * kpt_width + n_twists * twist_width + beta_dim
     L: int = 6                # transformer blocks
     h: int = 8                # attention heads
     d: int = 512              # model width
@@ -106,8 +110,8 @@ class BlockParams:
 class HeadParams:
     templates: Templates
     blocks: list[BlockParams]
-    proj_kpt: LinearParams    # d -> 3
-    proj_twist: LinearParams  # d -> 2
+    proj_kpt: LinearParams    # d -> kpt_width
+    proj_twist: LinearParams  # d -> twist_width
     proj_beta: LinearParams   # d -> beta_dim
 
     def named_parameters(self):
@@ -163,8 +167,8 @@ def init_head(cfg: HeadConfig, rng: np.random.Generator, dtype=T.DEFAULT_DTYPE) 
     return HeadParams(
         templates=templates,
         blocks=blocks,
-        proj_kpt=B.init_params(rng, cfg.d, 3, dtype),
-        proj_twist=B.init_params(rng, cfg.d, 2, dtype),
+        proj_kpt=B.init_params(rng, cfg.d, cfg.kpt_width, dtype),
+        proj_twist=B.init_params(rng, cfg.d, cfg.twist_width, dtype),
         proj_beta=B.init_params(rng, cfg.d, cfg.beta_dim, dtype),
     )
 

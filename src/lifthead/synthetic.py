@@ -18,7 +18,8 @@ from .model import HeadConfig, PoseOutput, pose_output_from_arrays
 from .tensor import Tensor
 
 N_JOINTS, N_TWISTS, BETA_DIM = HeadConfig.n_joints, HeadConfig.n_twists, HeadConfig.beta_dim
-TARGET_DIM = N_JOINTS * 3 + N_TWISTS * 2 + BETA_DIM
+KPT_WIDTH, TWIST_WIDTH = HeadConfig.kpt_width, HeadConfig.twist_width
+TARGET_DIM = HeadConfig.pose_dim
 KEYPOINT_STD = 0.3  # spread of every sampled keypoint coordinate
 
 
@@ -61,10 +62,10 @@ def unflatten_pose(vec: np.ndarray, dtype=np.float32) -> PoseOutput:
     vec = np.asarray(vec).reshape(-1)
     if vec.size != TARGET_DIM:
         raise ValueError(f"expected a {TARGET_DIM}-dim vector, got {vec.size}")
-    k = N_JOINTS * 3
-    t = k + N_TWISTS * 2
-    return pose_output_from_arrays(vec[:k].reshape(N_JOINTS, 3),
-                                   vec[k:t].reshape(N_TWISTS, 2),
+    k = N_JOINTS * KPT_WIDTH
+    t = k + N_TWISTS * TWIST_WIDTH
+    return pose_output_from_arrays(vec[:k].reshape(N_JOINTS, KPT_WIDTH),
+                                   vec[k:t].reshape(N_TWISTS, TWIST_WIDTH),
                                    vec[t:], dtype=dtype)
 
 
@@ -83,7 +84,7 @@ def generate(n: int, gen: SyntheticGen) -> list[tuple[Tensor, PoseOutput]]:
     noise_rng = np.random.default_rng((gen.seed, 0x0153))
     out = []
     for _ in range(n):
-        kpt = rng.normal(0.0, KEYPOINT_STD, size=(N_JOINTS, 3)).astype(np.float32)
+        kpt = rng.normal(0.0, KEYPOINT_STD, size=(N_JOINTS, KPT_WIDTH)).astype(np.float32)
         angles = rng.uniform(-np.pi, np.pi, size=N_TWISTS)
         twists = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(np.float32)
         twists /= np.linalg.norm(twists, axis=1, keepdims=True)

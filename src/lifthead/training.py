@@ -16,6 +16,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
+from . import workers as W
 from .model import HeadConfig, HeadParams, PoseOutput
 from .tensor import Tape, Tensor, backward
 
@@ -166,10 +167,16 @@ def adam_step(named_params: Iterable[tuple[str, Tensor]], state: AdamState,
     gradient (zero counts, None does not). A non-finite gradient raises
     TrainingAborted before any parameter, moment or the step count changes.
 
-    The update runs chunk by chunk over the arena. A chunk's gradient is a
-    view of one parameter's gradient where the chunk lies within it, and is
-    otherwise gathered with one np.concatenate: once to check that it is
-    finite and (except for the last chunk) again to apply the update.
+    The update runs chunk by chunk over the arena, in two passes that hand
+    the chunks out to up to one thread per usable CPU (workers.over_chunks;
+    an arena of one chunk runs on the caller alone). The first pass checks
+    that every gradient is finite, and has finished on every thread before
+    the second one updates anything. A chunk's gradient is a view of one
+    parameter's gradient where the chunk lies within it, and is otherwise
+    gathered into the thread's own buffer with one np.concatenate. Every
+    element goes through the same operations in the same order whichever
+    thread takes its chunk, so the result is bit-identical to a
+    single-threaded update.
     """
     params = list(named_params)
     if len(params) != len(state.names):
@@ -185,9 +192,12 @@ def adam_step(named_params: Iterable[tuple[str, Tensor]], state: AdamState,
                              f"arena; call AdamState.init again")
     grads = [t.grad for _, t in params]
     n = state.arena.size
-    buf = np.empty(min(n, ADAM_CHUNK), dtype=state.arena.dtype)
+    n_chunks = len(state.chunks)
 
-    def gather(k):
+    def scratch():
+        return np.empty(min(n, ADAM_CHUNK), dtype=state.arena.dtype)
+
+    def gather(k, buf):
         pieces = state.chunks[k]
         if len(pieces) == 1:  # within one parameter: a view of its gradient
             i, part = pieces[0]
@@ -197,41 +207,44 @@ def adam_step(named_params: Iterable[tuple[str, Tensor]], state: AdamState,
              for i, part in pieces],
             axis=None, out=buf[:min(n - k * ADAM_CHUNK, ADAM_CHUNK)])
 
-    for k in range(len(state.chunks)):
-        g = gather(k)
-        if not np.isfinite(g).all():
-            bad = next(name for name, t in params if not np.isfinite(t.grad).all())
-            raise TrainingAborted(state.step + 1, lr, parameter=bad)
+    def finite(chunks):
+        buf = scratch()
+        return all(np.isfinite(gather(k, buf)).all() for k in chunks)
+
+    if not all(W.over_chunks(finite, n_chunks)):
+        bad = next(name for name, t in params if not np.isfinite(t.grad).all())
+        raise TrainingAborted(state.step + 1, lr, parameter=bad)
     state.step += 1
     b1c = 1.0 - ADAM_BETA1 ** state.step
     b2c = 1.0 - ADAM_BETA2 ** state.step
-    tmp, den = np.empty_like(buf), np.empty_like(buf)
+
     # the per-tensor update's operations, in its order, applied in place:
     #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
     #   p = p - lr (m / b1c) / (sqrt(v / b2c) + eps)
-    # last chunk first: the check above left its gradient in g
-    last = len(state.chunks) - 1
-    for k in range(last, -1, -1):
-        if k < last:
-            g = gather(k)
-        lo = k * ADAM_CHUNK
-        hi = lo + g.size
-        m, v, p = state.m_flat[lo:hi], state.v_flat[lo:hi], state.arena[lo:hi]
-        t1, t2 = tmp[:g.size], den[:g.size]
-        m *= ADAM_BETA1
-        np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
-        m += t1
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=t1)
-        t1 *= 1.0 - ADAM_BETA2
-        v += t1
-        np.divide(v, b2c, out=t2)
-        np.sqrt(t2, out=t2)
-        t2 += ADAM_EPS
-        np.divide(m, b1c, out=t1)
-        t1 *= lr
-        t1 /= t2
-        p -= t1
+    def update(chunks):
+        buf, tmp, den = scratch(), scratch(), scratch()
+        for k in chunks:
+            g = gather(k, buf)
+            lo = k * ADAM_CHUNK
+            hi = lo + g.size
+            m, v, p = state.m_flat[lo:hi], state.v_flat[lo:hi], state.arena[lo:hi]
+            t1, t2 = tmp[:g.size], den[:g.size]
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
+            m += t1
+            v *= ADAM_BETA2
+            np.multiply(g, g, out=t1)
+            t1 *= 1.0 - ADAM_BETA2
+            v += t1
+            np.divide(v, b2c, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += ADAM_EPS
+            np.divide(m, b1c, out=t1)
+            t1 *= lr
+            t1 /= t2
+            p -= t1
+
+    W.over_chunks(update, n_chunks)
     for _, t in params:
         t.grad = None
 

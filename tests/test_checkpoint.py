@@ -4,6 +4,8 @@ import hashlib
 import os
 import struct
 import tempfile
+import threading
+import time
 import zlib
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 import lifthead.checkpoint as C
 import lifthead.model as M
+import lifthead.workers as W
 from lifthead.checkpoint import (ChecksumError, FormatError, load_checkpoint,
                                  read_tensors, save_checkpoint, write_tensors)
 from lifthead.model import HeadConfig
@@ -233,6 +236,81 @@ class TestFailedWrite:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
+
+
+class TestCrcWorker:
+    """A payload of CRC_WORKER_BYTES or more has its CRC32 computed on a
+    pool thread while the caller writes the file."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(W, "CPUS", 2)
+
+    def _large(self):
+        rng = np.random.default_rng(0)
+        n = C.CRC_WORKER_BYTES // 8
+        return {"a": rng.standard_normal(n).astype(np.float32),
+                "b.c": rng.standard_normal((3, 5)),
+                "d": rng.standard_normal(n + 1).astype(np.float32)}
+
+    def test_worker_path_writes_the_inline_bytes(self, tmp_path, monkeypatch):
+        tensors = self._large()
+        assert sum(a.nbytes for a in tensors.values()) >= C.CRC_WORKER_BYTES
+        calls = []
+        run_all = W.run_all
+        monkeypatch.setattr(W, "run_all", lambda fns: calls.append(fns) or run_all(fns))
+        write_tensors(tmp_path / "worker.ckpt", tensors)
+        assert len(calls) == 1
+        monkeypatch.setattr(C, "CRC_WORKER_BYTES", 1 << 62)
+        write_tensors(tmp_path / "inline.ckpt", tensors)
+        assert len(calls) == 1
+        raw = (tmp_path / "worker.ckpt").read_bytes()
+        assert raw == (tmp_path / "inline.ckpt").read_bytes()
+        assert struct.unpack("<I", raw[-4:])[0] == zlib.crc32(raw[:-4])
+        for name, arr in read_tensors(tmp_path / "worker.ckpt").items():
+            np.testing.assert_array_equal(arr, tensors[name])
+
+    def test_failure_mid_file_joins_the_worker(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.ckpt"
+        tensors = self._large()
+        write_tensors(path, tensors)  # starts the pool, if nothing had
+        before = path.read_bytes()
+        threads = threading.active_count()
+        crc_calls = []
+        crc32 = zlib.crc32
+
+        def slow_crc(buf, value=0):
+            time.sleep(0.01)
+            crc_calls.append(len(buf))
+            return crc32(buf, value)
+
+        class FailingFile:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, buf):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("disk full")
+                return self.f.write(buf)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(C.zlib, "crc32", slow_crc)
+        monkeypatch.setattr(C, "open", lambda p, mode: FailingFile(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write_tensors(path, {"x": np.ones(3, dtype=np.float32), **tensors})
+        # every buffer was checksummed before the error surfaced
+        assert len(crc_calls) == 2 * (len(tensors) + 1) + 1
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
+        assert threading.active_count() == threads
 
 
 class TestCorruption:

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import lifthead.model as M
 import lifthead.tensor as T
 import lifthead.training as TR
+import lifthead.workers as W
 from lifthead.model import HeadConfig, pose_output_from_arrays
 from lifthead.synthetic import SyntheticGen, generate
 from lifthead.tensor import Tape, Tensor, backward
@@ -148,12 +150,26 @@ def flat_snapshot(state):
     return state.arena.copy(), state.m_flat.copy(), state.v_flat.copy()
 
 
+def with_workers_and_dtypes(name, values):
+    """Each value with 1, 2 and 3 workers in float32 and float64; the
+    one-worker float32 case keeps the value's own test id."""
+    return pytest.mark.parametrize(f"{name}, workers, dtype", [
+        pytest.param(value, workers, dtype,
+                     id=str(value) if (workers, dtype) == (1, np.float32)
+                     else f"{value}-{workers}w-{np.dtype(dtype)}")
+        for value in values for workers in (1, 2, 3)
+        for dtype in (np.float32, np.float64)])
+
+
 class TestFlatAdam:
-    # 777 splits parameters across chunks; 16 puts most chunks inside one
-    @pytest.mark.parametrize("chunk", [TR.ADAM_CHUNK, 777, 16])
-    def test_bit_identical_to_per_tensor_loop(self, monkeypatch, chunk):
+    # 777 splits parameters across chunks, which workers may take apart;
+    # 16 puts most chunks inside one parameter; 3 workers are more than
+    # most hosts' cores
+    @with_workers_and_dtypes("chunk", [TR.ADAM_CHUNK, 777, 16])
+    def test_bit_identical_to_per_tensor_loop(self, monkeypatch, chunk, workers, dtype):
         monkeypatch.setattr(TR, "ADAM_CHUNK", chunk)
-        params = M.init_head(tiny_cfg(), np.random.default_rng(0))
+        monkeypatch.setattr(W, "CPUS", workers)
+        params = M.init_head(tiny_cfg(), np.random.default_rng(0), dtype=dtype)
         data = {n: t.data.copy() for n, t in params.named_parameters()}
         m = {n: np.zeros_like(a) for n, a in data.items()}
         v = {n: np.zeros_like(a) for n, a in data.items()}
@@ -167,22 +183,25 @@ class TestFlatAdam:
             per_tensor_adam(data, grads, m, v, step, lr)
         assert state.step == 5
         for name, t in params.named_parameters():
+            assert t.data.dtype == dtype
             np.testing.assert_array_equal(t.data, data[name])
             np.testing.assert_array_equal(state.m[name], m[name])
             np.testing.assert_array_equal(state.v[name], v[name])
             assert t.grad is None
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_gradient_touches_nothing(self, monkeypatch, bad):
+    @with_workers_and_dtypes("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_touches_nothing(self, monkeypatch, bad, workers, dtype):
         monkeypatch.setattr(TR, "ADAM_CHUNK", 1000)
-        params = M.init_head(tiny_cfg(), np.random.default_rng(0))
+        monkeypatch.setattr(W, "CPUS", workers)
+        params = M.init_head(tiny_cfg(), np.random.default_rng(0), dtype=dtype)
         state = AdamState.init(params)
         rng = np.random.default_rng(2)
         set_grads(params, random_grads(params, rng))
         adam_step(params.named_parameters(), state, 1e-3)
         set_grads(params, random_grads(params, rng))
-        target = "blocks.1.ffn_3d.layers.2.weight"
-        dict(params.named_parameters())[target].grad[3, 4] = bad
+        # in the last chunk handed out
+        target, t = list(params.named_parameters())[-1]
+        t.grad[-1] = bad
         before = flat_snapshot(state)
         with pytest.raises(TrainingAborted, match=f"step 2: parameter {target}") as exc:
             adam_step(params.named_parameters(), state, 1e-3)
@@ -191,6 +210,19 @@ class TestFlatAdam:
         for was, now in zip(before, flat_snapshot(state)):
             np.testing.assert_array_equal(was, now)
         assert all(t.grad is not None for _, t in params.named_parameters())
+
+    def test_first_non_finite_parameter_is_named(self, monkeypatch):
+        monkeypatch.setattr(TR, "ADAM_CHUNK", 1000)
+        monkeypatch.setattr(W, "CPUS", 3)
+        params = M.init_head(tiny_cfg(), np.random.default_rng(0))
+        state = AdamState.init(params)
+        set_grads(params, random_grads(params, np.random.default_rng(2)))
+        named = dict(params.named_parameters())
+        target = "blocks.1.ffn_3d.layers.2.weight"
+        named[target].grad[3, 4] = np.nan
+        named["proj_beta.bias"].grad[0] = np.inf
+        with pytest.raises(TrainingAborted, match=f"parameter {target}"):
+            adam_step(params.named_parameters(), state, 1e-3)
 
     def test_rebound_parameter_is_named(self):
         params = M.init_head(tiny_cfg(), np.random.default_rng(0))
@@ -529,6 +561,26 @@ class TestTrainLoop:
         lines = (tmp_path / "log.tsv").read_text().splitlines()
         assert len(lines) == len(result.metrics)
         assert all(len(line.split("\t")) == 5 for line in lines)
+
+    def test_tiny_profile_starts_no_thread(self, tmp_path, monkeypatch):
+        # one Adam chunk and checkpoints under CRC_WORKER_BYTES: everything
+        # runs on the caller, and the worker pool is never created
+        import lifthead.checkpoint as C
+        from lifthead.cli import PROFILES
+        monkeypatch.setattr(W, "_pool", None)
+        threads = threading.active_count()
+        tiny = PROFILES["tiny"]
+        head_cfg = HeadConfig(**{k: v for k, v in tiny.items()
+                                 if k in HeadConfig.__dataclass_fields__})
+        params = M.init_head(head_cfg, np.random.default_rng(0))
+        assert params.parameter_count() <= TR.ADAM_CHUNK
+        data = generate(tiny["n_samples"], SyntheticGen(
+            seed=1, n_patches=head_cfg.n_patches, c_in=head_cfg.c_in))
+        train(head_cfg, params, data, TrainConfig(epochs=2, batch_size=16),
+              checkpoint_dir=str(tmp_path))
+        assert max(p.stat().st_size for p in tmp_path.iterdir()) < C.CRC_WORKER_BYTES
+        assert W._pool is None
+        assert threading.active_count() == threads
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         head_cfg = tiny_cfg()
