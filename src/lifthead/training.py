@@ -1,6 +1,6 @@
 """Training machinery: warmup/decay schedule, Adam, patch-subset
-augmentation, the weighted pose loss, per-epoch snapshots with trailing-window
-parameter averaging, and eval metrics.
+augmentation, the weighted pose loss, trailing-window parameter averaging
+(a running mean fed as each epoch ends), and eval metrics.
 """
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ from __future__ import annotations
 import copy
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -99,7 +98,7 @@ def _views(flat: np.ndarray, tensors: Sequence[Tensor]) -> list[np.ndarray]:
 
 
 # elements per chunk of the passes over flat parameter buffers (adam_step,
-# average_checkpoints): a chunk of the gradient, the moments, the parameters
+# the running mean): a chunk of the gradient, the moments, the parameters
 # and two temporaries stays in a 2 MB L2 cache, where whole-buffer passes
 # would stream each array from memory once per operation
 ADAM_CHUNK = 1 << 16
@@ -278,49 +277,48 @@ def loss(pred: PoseOutput, target: PoseOutput, *, w_kpt: float = 1.0,
                  T.scale(l_beta, w_beta))
 
 
-def average_checkpoints(param_sets: Sequence, like: Optional[HeadParams] = None
-                        ) -> HeadParams:
-    """Elementwise mean of the parameter sets.
+class _RunningMean:
+    """first + (Σ (other - first)) / n of flat arrays packed like ``like``, fed
+    one at a time: nearby checkpoints deviate little, and equal inputs average
+    to themselves bit-for-bit. Keeps the first array (not copied), the sum, n."""
 
-    Each set is a HeadParams or, with ``like`` given, a flat array laid out
-    as AdamState packs ``like``'s parameters. Computed as first +
-    mean(others - first): deviations between nearby checkpoints are small,
-    and identical inputs average to themselves bit-for-bit. The result is
-    shaped like ``like`` (default: the first set), its tensors views of one
-    new buffer. A single set is its own mean: the result then views that
-    set's values without an averaging pass, which for a flat set is the
-    caller's array itself. It differs from the formula only where the
-    formula would turn a -0.0 into +0.0, so np.array_equal holds.
-    """
-    if not param_sets:
-        raise ValueError("average_checkpoints needs at least one parameter set")
-    if like is None:
-        like = param_sets[0]
-        names0 = [(n, t.shape) for n, t in like.named_parameters()]
-        for ps in param_sets[1:]:
-            names = [(n, t.shape) for n, t in ps.named_parameters()]
-            if names != names0:
-                raise ValueError("parameter sets have mismatched structure")
-        flats = [_pack([t for _, t in ps.named_parameters()]) for ps in param_sets]
-    else:
-        size = like.parameter_count()
-        if any(f.shape != (size,) for f in param_sets):
-            raise ValueError(f"flat parameter sets must have shape ({size},)")
-        flats = param_sets
-    base = flats[0]
-    if len(flats) == 1:
-        avg = base
-    else:
-        # by chunks, so that the temporaries stay in cache and only the
-        # result is a new full-size buffer
-        avg = np.empty_like(base)
-        for lo in range(0, base.size, ADAM_CHUNK):
+    def __init__(self, like: HeadParams, first: np.ndarray):
+        self.like, self.base, self.delta, self.n = like, first, None, 1
+
+    def add(self, flat: np.ndarray) -> None:
+        if self.delta is None:
+            self.delta = np.zeros_like(self.base)
+        # by chunks, so that the temporaries stay in cache
+        for lo in range(0, flat.size, ADAM_CHUNK):
             chunk = slice(lo, lo + ADAM_CHUNK)
-            delta = np.zeros_like(base[chunk])
-            for other in flats[1:]:
-                delta += other[chunk] - base[chunk]
-            np.add(base[chunk], delta / len(flats), out=avg[chunk])
-    tensors = [t for _, t in like.named_parameters()]
+            self.delta[chunk] += flat[chunk] - self.base[chunk]
+        self.n += 1
+
+
+def average_checkpoints(param_sets) -> HeadParams:
+    """Elementwise mean of a sequence of HeadParams, packed and fed in order
+    to a _RunningMean, or of the arrays fed to a given _RunningMean. The
+    result is shaped like the first set (or the running mean's ``like``); its
+    tensors view the deviation sum, overwritten in place with the mean. A
+    single set is its own mean: the result views a packed copy of it, keeping
+    any -0.0 that the formula would turn into +0.0.
+    """
+    mean = param_sets
+    if not isinstance(mean, _RunningMean):
+        if not param_sets:
+            raise ValueError("average_checkpoints needs at least one parameter set")
+        if len({tuple((n, t.shape) for n, t in ps.named_parameters())
+                for ps in param_sets}) > 1:
+            raise ValueError("parameter sets have mismatched structure")
+        flats = (_pack([t for _, t in ps.named_parameters()]) for ps in param_sets)
+        mean = _RunningMean(param_sets[0], next(flats))
+        for flat in flats:
+            mean.add(flat)
+    avg = mean.base
+    if mean.n > 1:  # sum / n + base in place: addition commutes exactly
+        avg = np.divide(mean.delta, mean.n, out=mean.delta)
+        avg += mean.base
+    tensors = [t for _, t in mean.like.named_parameters()]
     # one structural copy: the memo hands deepcopy the averaged views in
     # place of the values and drops the gradients, so no array is copied
     memo = {}
@@ -328,7 +326,7 @@ def average_checkpoints(param_sets: Sequence, like: Optional[HeadParams] = None
         memo[id(t.data)] = view
         if t.grad is not None:
             memo[id(t.grad)] = None
-    return copy.deepcopy(like, memo)
+    return copy.deepcopy(mean.like, memo)
 
 
 @dataclass
@@ -372,8 +370,8 @@ def train(head_cfg: HeadConfig, params: HeadParams,
     Each epoch shuffles, batches, draws one patch subset per batch, and runs
     one batched forward/loss/backward and one Adam update per step (the loss
     of a batch is the mean of its per-sample losses); the forward applies
-    head_cfg.dropout. A parameter snapshot is kept per epoch; the returned
-    model is the elementwise mean of the last avg_last_epochs snapshots.
+    head_cfg.dropout. The returned model is the mean of the parameters after
+    each of the last avg_last_epochs epochs, fed to a running mean as each ends.
     With checkpoint_dir set, per-epoch and averaged checkpoints are also
     written to disk. A non-finite loss aborts with step/lr/loss in the
     error, a non-finite gradient with step/lr/parameter. params are first
@@ -388,7 +386,7 @@ def train(head_cfg: HeadConfig, params: HeadParams,
     # packs params into the arena on every call: callers may rebind .data
     state = AdamState.init(params)
     named = list(params.named_parameters())
-    snapshots: deque[np.ndarray] = deque(maxlen=cfg.avg_last_epochs)
+    window: Optional[_RunningMean] = None  # of the last avg_last_epochs epochs
     metrics: list[StepMetrics] = []
     step = 0
     n = len(dataset)
@@ -413,19 +411,21 @@ def train(head_cfg: HeadConfig, params: HeadParams,
                     raise TrainingAborted(step, lr, loss_value)
                 backward(total, tape)
             # the tape holds what backward read; free it before the update,
-            # the snapshot copy and the checkpoint writes
+            # the window's copy or sum and the checkpoint writes
             del tape
             adam_step(named, state, lr)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             metrics.append(StepMetrics(step, epoch, lr, loss_value, wall_ms))
-        snapshots.append(state.arena.copy())
+        if window is not None:
+            window.add(state.arena)
+        elif epoch >= cfg.epochs - cfg.avg_last_epochs:
+            window = _RunningMean(params, state.arena.copy())
         if checkpoint_dir is not None:
             C.save_checkpoint(params, state,
                               f"{checkpoint_dir}/epoch_{epoch:04d}.ckpt")
 
-    averaged = (average_checkpoints(list(snapshots), like=params) if snapshots
-                else params)
-    if checkpoint_dir is not None and snapshots:
+    averaged = params if window is None else average_checkpoints(window)
+    if checkpoint_dir is not None and window is not None:
         C.save_checkpoint(averaged, None, f"{checkpoint_dir}/averaged.ckpt")
     if metrics_path is not None:
         with open(metrics_path, "w") as f:

@@ -210,17 +210,21 @@ class TestFailedWrite:
     def test_failure_while_writing(self, tmp_path, monkeypatch):
         path, before = self._existing(tmp_path)
         calls = []
+        crc32 = zlib.crc32
 
         def failing_crc(buf, value=0):
-            calls.append(len(calls))
-            if len(calls) == 3:
+            if len(calls) == 2:
                 raise OSError("disk full")
-            return zlib.crc32(buf, value)
+            calls.append((bytes(buf), value, crc32(buf, value)))
+            return calls[-1][2]
 
         monkeypatch.setattr(C.zlib, "crc32", failing_crc)
         with pytest.raises(OSError, match="disk full"):
             write_tensors(path, {"a": np.zeros(4, dtype=np.float32)})
         monkeypatch.undo()
+        # the two calls before the failure chained real CRCs over the buffers
+        assert len(calls) == 2 and calls[0][1] == 0 and calls[1][1] == calls[0][2]
+        assert calls[1][2] == zlib.crc32(calls[0][0] + calls[1][0])
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
 

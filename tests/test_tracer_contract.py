@@ -1,8 +1,10 @@
 """The benchmark's per-layer tracer (perfbench/tracer.py) replaces every
 primitive named in its KINDS while it is active, and rejects any tape entry
-recorded outside them. So a renamed, removed or new primitive in
-lifthead.tensor breaks a traced benchmark run (``perfbench/run.py --trace
-1``). This test runs the tracer at the tiny profile to catch that here.
+recorded outside them; it also times the functions named in its _SPANS by
+replacing them. So a renamed, removed or new primitive in lifthead.tensor,
+or a renamed or bypassed span target, breaks a traced benchmark run
+(``perfbench/run.py --trace 1``) or empties its timings. This test runs the
+tracer at the tiny profile to catch that here.
 """
 
 import os
@@ -28,6 +30,9 @@ TINY_ENTRIES_PER_STEP = 154
 def test_traced_tiny_train_step_and_eval_forward():
     missing = [kind for kind in tracer.KINDS if not callable(getattr(T, kind, None))]
     assert not missing, f"tracer KINDS not in lifthead.tensor: {missing}"
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in tracer._SPANS
+               if not callable(getattr(owner, attr, None))]
+    assert not missing, f"tracer spans not in lifthead: {missing}"
     cfg = {f.name: f.default for f in cli.FIELDS}
     cfg.update(cli.PROFILES["tiny"], epochs=1)
     hc, tc = cli.head_config(cfg), cli.train_config(cfg)
@@ -39,4 +44,6 @@ def test_traced_tiny_train_step_and_eval_forward():
     assert len(result.metrics) == 1
     assert sum(tr.kind_entries.values()) == TINY_ENTRIES_PER_STEP
     assert tr.span_calls["model.forward"] == 2
+    # train() makes its averaged model through the traced name
+    assert tr.span_calls["training.average_checkpoints"] == 1
     assert np.isfinite(out.keypoints.data).all()

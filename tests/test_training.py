@@ -146,6 +146,10 @@ def set_grads(params, grads):
         t.grad = grads[name].copy()
 
 
+def flatten(params):
+    return np.concatenate([t.data.reshape(-1) for _, t in params.named_parameters()])
+
+
 def flat_snapshot(state):
     return state.arena.copy(), state.m_flat.copy(), state.v_flat.copy()
 
@@ -430,14 +434,17 @@ class TestAveraging:
         for (_, ta), (_, tb) in zip(a.named_parameters(), b.named_parameters()):
             np.testing.assert_allclose(ta.data, tb.data, rtol=0, atol=1e-12)
 
-    def test_flat_sets_match_parameter_sets_and_reference(self):
+    def test_sets_and_running_mean_match_the_per_tensor_formula(self):
         heads = [M.init_head(tiny_cfg(), np.random.default_rng(s)) for s in range(4)]
-        flats = [np.concatenate([t.data.reshape(-1) for _, t in h.named_parameters()])
-                 for h in heads]
+        flats = [flatten(h) for h in heads]
         from_sets = average_checkpoints(heads)
-        from_flats = average_checkpoints(flats, like=heads[0])
+        # train()'s path: a copy of the first arena, then the others fed in
+        window = TR._RunningMean(heads[0], flats[0].copy())
+        for flat in flats[1:]:
+            window.add(flat)
+        from_window = average_checkpoints(window)
         for (name, a), (_, b) in zip(from_sets.named_parameters(),
-                                     from_flats.named_parameters()):
+                                     from_window.named_parameters()):
             # the per-tensor formula the flat average replaced
             base = dict(heads[0].named_parameters())[name].data
             delta = np.zeros_like(base)
@@ -445,23 +452,31 @@ class TestAveraging:
                 delta = delta + (dict(h.named_parameters())[name].data - base)
             np.testing.assert_array_equal(a.data, base + delta / len(heads))
             np.testing.assert_array_equal(b.data, a.data)
-        with pytest.raises(ValueError, match="shape"):
-            average_checkpoints([flats[0][:-1]], like=heads[0])
+            assert not any(np.shares_memory(a.data, t.data) for h in heads
+                           for n, t in h.named_parameters() if n == name), name
+        assert all(np.shares_memory(t.data, window.delta)
+                   for _, t in from_window.named_parameters())
 
-    def test_single_set_views_itself_and_equals_the_formula(self):
+    def test_single_set_keeps_negative_zero_and_shares_no_memory(self):
         head = M.init_head(tiny_cfg(), np.random.default_rng(3))
-        flat = np.concatenate([t.data.reshape(-1) for _, t in head.named_parameters()])
-        flat[:2] = -0.0
-        avg = average_checkpoints([flat], like=head)
+        _, first = next(iter(head.named_parameters()))
+        first.data.reshape(-1)[:2] = -0.0
+        flat = flatten(head)
         formula = flat + np.zeros_like(flat) / 1  # first + mean of no deviations
         assert np.signbit(flat[0]) and not np.signbit(formula[0])
-        got = np.concatenate([t.data.reshape(-1) for _, t in avg.named_parameters()])
-        np.testing.assert_array_equal(got, formula)
-        assert all(np.shares_memory(t.data, flat) for _, t in avg.named_parameters())
         from_set = average_checkpoints([head])
+        got = flatten(from_set)
+        np.testing.assert_array_equal(got, formula)
+        assert np.signbit(got[:2]).all()
         for (_, a), (_, b) in zip(from_set.named_parameters(), head.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
             assert not np.shares_memory(a.data, b.data)
+        # a window of one epoch: the result views the copy train() took
+        window = TR._RunningMean(head, flat)
+        from_window = average_checkpoints(window)
+        np.testing.assert_array_equal(flatten(from_window), got)
+        assert all(np.shares_memory(t.data, flat)
+                   for _, t in from_window.named_parameters())
 
     def test_one_epoch_window_shares_no_memory_with_last_params(self):
         head_cfg = tiny_cfg()
@@ -484,6 +499,89 @@ class TestAveraging:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             average_checkpoints([])
+
+
+def snapshot_window_average(snapshots):
+    """Reference for train()'s running mean: the trailing-window average made
+    from a kept copy of every epoch's arena, first + sum(other - first) / n
+    by chunks at the end."""
+    base = snapshots[0]
+    if len(snapshots) == 1:
+        return base
+    avg = np.empty_like(base)
+    for lo in range(0, base.size, TR.ADAM_CHUNK):
+        chunk = slice(lo, lo + TR.ADAM_CHUNK)
+        delta = np.zeros_like(base[chunk])
+        for other in snapshots[1:]:
+            delta += other[chunk] - base[chunk]
+        np.add(base[chunk], delta / len(snapshots), out=avg[chunk])
+    return avg
+
+
+class TestTrailingWindow:
+    """train() feeds each epoch of the window to a running mean as it ends."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("epochs", [1, 3, 12])
+    @pytest.mark.parametrize("avg_last", [1, 3, 10])
+    def test_bit_identical_to_averaging_kept_snapshots(self, tmp_path, monkeypatch,
+                                                       dtype, epochs, avg_last):
+        import lifthead.checkpoint as C
+        snapshots = []
+        save = C.save_checkpoint
+
+        def keep_snapshot(params, state, path):
+            if state is not None:
+                snapshots.append(state.arena.copy())
+            return save(params, state, path)
+
+        monkeypatch.setattr(C, "save_checkpoint", keep_snapshot)
+        head_cfg = tiny_cfg(dropout=0.2)
+        params = M.init_head(head_cfg, np.random.default_rng(99), dtype=dtype)
+        data = generate(6, SyntheticGen(seed=1, n_patches=16, c_in=32))
+        result = train(head_cfg, params, data,
+                       TrainConfig(epochs=epochs, batch_size=4, warmup_steps=10,
+                                   max_lr=1e-3, avg_last_epochs=avg_last),
+                       checkpoint_dir=str(tmp_path))
+        assert len(snapshots) == epochs
+        want = snapshot_window_average(snapshots[-avg_last:])
+        got = flatten(result.params)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert flatten(result.last_params).tobytes() == snapshots[-1].tobytes()
+        reference = copy.deepcopy(result.params)
+        tensors = [t for _, t in reference.named_parameters()]
+        for t, view in zip(tensors, TR._views(want, tensors)):
+            t.data = view
+        save(reference, None, tmp_path / "reference.ckpt")
+        assert ((tmp_path / "averaged.ckpt").read_bytes()
+                == (tmp_path / "reference.ckpt").read_bytes())
+
+    def test_memory_does_not_grow_with_the_window(self):
+        # the window holds one arena copy and one deviation sum, however many
+        # epochs it spans; keeping every epoch's copy would add one per epoch
+        import tracemalloc
+        from lifthead.cli import PROFILES
+        tiny = PROFILES["tiny"]
+        head_cfg = HeadConfig(**{k: v for k, v in tiny.items()
+                                 if k in HeadConfig.__dataclass_fields__})
+        data = generate(tiny["batch_size"], SyntheticGen(
+            seed=1, n_patches=head_cfg.n_patches, c_in=head_cfg.c_in))
+
+        def peak(epochs):
+            params = M.init_head(head_cfg, np.random.default_rng(0))
+            cfg = TrainConfig(epochs=epochs, batch_size=tiny["batch_size"],
+                              avg_last_epochs=10)
+            tracemalloc.start()
+            try:
+                train(head_cfg, params, data, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # one-time allocations outside the measurement
+        arena = 4 * M.init_head(head_cfg, np.random.default_rng(0)).parameter_count()
+        two, twelve = peak(2), peak(12)
+        assert twelve - two < 2 * arena, (two, twelve, arena)
 
 
 def small_run(tmp_path=None, seed=0, epochs=3, n=8, **cfg_kw):
