@@ -80,6 +80,18 @@ def named_tensors(node, prefix: str = ""):
         yield from named_tensors(child, f"{prefix}.{key}" if prefix else key)
 
 
+def rebuild(node, leaf):
+    """A new node along named_tensors' walk, each Tensor t under it leaf(t)."""
+    if isinstance(node, Tensor):
+        return leaf(node)
+    if isinstance(node, list):
+        return [rebuild(item, leaf) for item in node]
+    if is_dataclass(node):
+        return type(node)(**{f.name: rebuild(getattr(node, f.name), leaf)
+                             for f in fields(node)})
+    return node
+
+
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """A (fan_in, fan_out) Xavier-uniform draw, in float64."""
     if fan_in <= 0 or fan_out <= 0:

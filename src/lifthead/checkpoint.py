@@ -168,10 +168,8 @@ def save_checkpoint(params: HeadParams, opt_state: Optional[AdamState], path) ->
     tensors: dict[str, np.ndarray] = {n: t.data for n, t in params.named_parameters()}
     if opt_state is not None:
         tensors["adam.step"] = np.array(opt_state.step, dtype=np.float64)
-        for name, arr in opt_state.m.items():
-            tensors[f"adam.m.{name}"] = arr
-        for name, arr in opt_state.v.items():
-            tensors[f"adam.v.{name}"] = arr
+        for prefix, store in (("adam.m.", opt_state.m), ("adam.v.", opt_state.v)):
+            tensors.update((prefix + name, arr) for name, arr in store.items())
     write_tensors(path, tensors)
 
 

@@ -335,8 +335,4 @@ def forward(cfg: HeadConfig, params: HeadParams, features: Tensor, *,
 
 def pose_output_from_arrays(keypoints, twists, beta, dtype=T.DEFAULT_DTYPE) -> PoseOutput:
     """Wrap plain arrays as a (non-learnable) PoseOutput, e.g. training targets."""
-    return PoseOutput(
-        keypoints=Tensor(np.asarray(keypoints), dtype=dtype),
-        twists=Tensor(np.asarray(twists), dtype=dtype),
-        beta=Tensor(np.asarray(beta), dtype=dtype),
-    )
+    return PoseOutput(*(Tensor(a, dtype=dtype) for a in (keypoints, twists, beta)))

@@ -21,6 +21,7 @@ N_JOINTS, N_TWISTS, BETA_DIM = HeadConfig.n_joints, HeadConfig.n_twists, HeadCon
 KPT_WIDTH, TWIST_WIDTH = HeadConfig.kpt_width, HeadConfig.twist_width
 TARGET_DIM = HeadConfig.pose_dim
 KEYPOINT_STD = 0.3  # spread of every sampled keypoint coordinate
+FEATURE_CHUNK = 16  # samples per feature pass; bounds its float64 temporaries
 
 
 @dataclass
@@ -51,11 +52,8 @@ class SyntheticGen:
 
 def flatten_pose(pose: PoseOutput) -> np.ndarray:
     """Concatenate keypoints, twists, beta into one float64 vector."""
-    return np.concatenate([
-        np.asarray(pose.keypoints.data, dtype=np.float64).reshape(-1),
-        np.asarray(pose.twists.data, dtype=np.float64).reshape(-1),
-        np.asarray(pose.beta.data, dtype=np.float64).reshape(-1),
-    ])
+    return np.concatenate([t.data.reshape(-1) for t in (pose.keypoints, pose.twists, pose.beta)],
+                          dtype=np.float64)
 
 
 def unflatten_pose(vec: np.ndarray, dtype=np.float32) -> PoseOutput:
@@ -70,7 +68,8 @@ def unflatten_pose(vec: np.ndarray, dtype=np.float32) -> PoseOutput:
 
 
 def generate(n: int, gen: SyntheticGen) -> list[tuple[Tensor, PoseOutput]]:
-    """n (features, target) pairs.
+    """n (features, target) pairs, as views of batched arrays. Only the target
+    draws, which share one stream, run per sample; the bytes are a loop's.
 
     Targets are stored in float32 with twist rows re-normalized after the
     rounding, and the features are computed from those stored values, so the
@@ -80,20 +79,22 @@ def generate(n: int, gen: SyntheticGen) -> list[tuple[Tensor, PoseOutput]]:
         raise ValueError(f"n must be >= 1, got {n}")
     mix = gen.mixing_map()
     rng = np.random.default_rng((gen.seed, 0xDA7A))
+    draws = [(rng.normal(0.0, KEYPOINT_STD, size=(N_JOINTS, KPT_WIDTH)),
+              rng.uniform(-np.pi, np.pi, size=N_TWISTS),
+              rng.normal(0.0, 1.0, size=BETA_DIM)) for _ in range(n)]
+    kpts, angles, betas = map(np.array, zip(*draws), (np.float32, np.float64, np.float32))
+    twists = np.stack([np.cos(angles), np.sin(angles)], axis=2).astype(np.float32)
+    twists /= np.linalg.norm(twists, axis=2, keepdims=True)
+    flat = np.concatenate([kpts.reshape(n, -1), twists.reshape(n, -1), betas], axis=1,
+                          dtype=np.float64)
+    feats = np.empty((n, gen.n_patches, gen.c_in), dtype=np.float32)
     # separate stream so noise_sigma does not disturb the latent targets
     noise_rng = np.random.default_rng((gen.seed, 0x0153))
-    out = []
-    for _ in range(n):
-        kpt = rng.normal(0.0, KEYPOINT_STD, size=(N_JOINTS, KPT_WIDTH)).astype(np.float32)
-        angles = rng.uniform(-np.pi, np.pi, size=N_TWISTS)
-        twists = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(np.float32)
-        twists /= np.linalg.norm(twists, axis=1, keepdims=True)
-        beta = rng.normal(0.0, 1.0, size=BETA_DIM).astype(np.float32)
-        target = pose_output_from_arrays(kpt, twists, beta)
-        flat = flatten_pose(target)
-        feats = flat @ mix
-        if gen.noise_sigma > 0:
-            feats = feats + noise_rng.normal(0.0, gen.noise_sigma, size=feats.shape)
-        features = Tensor(feats.reshape(gen.n_patches, gen.c_in).astype(np.float32))
-        out.append((features, target))
-    return out
+    for lo in range(0, n, FEATURE_CHUNK):
+        # row by row, as a per-sample loop rounds it (one GEMM rounds otherwise)
+        rows = np.matmul(flat[lo:lo + FEATURE_CHUNK, None, :], mix)[:, 0]
+        if gen.noise_sigma > 0:  # one draw for many rows is one draw per row
+            rows += noise_rng.normal(0.0, gen.noise_sigma, size=rows.shape)
+        feats[lo:lo + FEATURE_CHUNK] = rows.reshape(-1, gen.n_patches, gen.c_in)
+    return [(Tensor(f), PoseOutput(Tensor(k), Tensor(t), Tensor(b)))
+            for f, k, t, b in zip(feats, kpts, twists, betas)]

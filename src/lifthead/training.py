@@ -5,7 +5,6 @@ augmentation, the weighted pose loss, trailing-window parameter averaging
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass
@@ -13,6 +12,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import blocks as B
 from . import model as M
 from . import tensor as T
 from . import workers as W
@@ -318,15 +318,8 @@ def average_checkpoints(param_sets) -> HeadParams:
     if mean.n > 1:  # sum / n + base in place: addition commutes exactly
         avg = np.divide(mean.delta, mean.n, out=mean.delta)
         avg += mean.base
-    tensors = [t for _, t in mean.like.named_parameters()]
-    # one structural copy: the memo hands deepcopy the averaged views in
-    # place of the values and drops the gradients, so no array is copied
-    memo = {}
-    for t, view in zip(tensors, _views(avg, tensors)):
-        memo[id(t.data)] = view
-        if t.grad is not None:
-            memo[id(t.grad)] = None
-    return copy.deepcopy(mean.like, memo)
+    views = iter(_views(avg, [t for _, t in mean.like.named_parameters()]))
+    return B.rebuild(mean.like, lambda t: Tensor(next(views), requires_grad=t.requires_grad))
 
 
 @dataclass

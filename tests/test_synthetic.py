@@ -1,11 +1,18 @@
 """Synthetic dataset tests: determinism, rank, and the linear-probe oracle
 certifying the task carries full signal before any training happens."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lifthead.synthetic import (TARGET_DIM, SyntheticGen, flatten_pose, generate,
+from lifthead.model import pose_output_from_arrays
+from lifthead.synthetic import (BETA_DIM, KEYPOINT_STD, KPT_WIDTH, N_JOINTS, N_TWISTS,
+                                TARGET_DIM, SyntheticGen, flatten_pose, generate,
                                 unflatten_pose)
+from lifthead.tensor import Tensor
 
 
 def small_gen(**kw):
@@ -115,3 +122,80 @@ class TestLinearSignal:
         f = np.stack([x.data.reshape(-1).astype(np.float64) for x, _ in data])
         w, *_ = np.linalg.lstsq(v, f, rcond=None)
         assert np.abs(v @ w - f).max() > 1e-3
+
+
+def digest(data) -> str:
+    """SHA-256 over every returned array's dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for features, target in data:
+        for t in (features, target.keypoints, target.twists, target.beta):
+            a = t.data
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# (seed, n_patches, c_in, n, noise_sigma, digest) of the per-sample loop that
+# generate() replaced: the batched build must keep every stream and byte
+GOLDEN = [
+    (0, 16, 32, 1, 0.0, "8ab1380542b155aa35bccdb1aa095b556332ded60592ebb115b1f3198badaf1d"),
+    (0, 16, 32, 1, 0.01, "a7bea77103fe03c9a003bdaf5d73b4a3d4d504860fd51f703259b548c7f173f3"),
+    (0, 16, 32, 7, 0.0, "058266a0458b6294f73104ad1e7722ccc888dc2588a61c5cb8c40bc6567669b4"),
+    (0, 16, 32, 7, 0.01, "fe1db3305d1f8d1d7b2e8fa134bded2db48eb0478e75e3b16ddb3ab47a7a8026"),
+    (3, 16, 32, 1, 0.0, "89384c42776eb89e61999c48030d28ec4ad8828037335adc24063d6bc3ac0e79"),
+    (3, 16, 32, 1, 0.01, "a8b7ac8708cd1a284eca592a671669c11a6e6d82d2bf60d1218767c8dcf4db7d"),
+    (3, 16, 32, 7, 0.0, "99cd1cb17515eb97f7e0ab4ca809fad4b8714dcf19f13869bd86c65b37233d25"),
+    (3, 16, 32, 7, 0.01, "3b9ec90aa4c7a419bb983a443d53c1f0acb7a771a66fb4bedf57245aff5d5fa4"),
+    (0, 64, 512, 2, 0.01, "29bc4c5096a101259a2eb5b0df69489a56820ab496e31a7aedb0e24ec1ce9279"),
+    # one float32 feature here differs if the rows go through one GEMM
+    (1, 64, 512, 64, 0.01, "f7fc1b7a7b5ede24b95303edc25f079fca965fdefad136b2810c1bd340a34a89"),
+]
+
+
+def generate_per_sample(n, gen):
+    """The reference: one sample at a time, each built from its own draws."""
+    mix = gen.mixing_map()
+    rng = np.random.default_rng((gen.seed, 0xDA7A))
+    noise_rng = np.random.default_rng((gen.seed, 0x0153))
+    out = []
+    for _ in range(n):
+        kpt = rng.normal(0.0, KEYPOINT_STD, size=(N_JOINTS, KPT_WIDTH)).astype(np.float32)
+        angles = rng.uniform(-np.pi, np.pi, size=N_TWISTS)
+        twists = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(np.float32)
+        twists /= np.linalg.norm(twists, axis=1, keepdims=True)
+        beta = rng.normal(0.0, 1.0, size=BETA_DIM).astype(np.float32)
+        target = pose_output_from_arrays(kpt, twists, beta)
+        feats = flatten_pose(target) @ mix
+        if gen.noise_sigma > 0:
+            feats = feats + noise_rng.normal(0.0, gen.noise_sigma, size=feats.shape)
+        out.append((Tensor(feats.reshape(gen.n_patches, gen.c_in).astype(np.float32)), target))
+    return out
+
+
+class TestDataStream:
+    @pytest.mark.parametrize("n_patches, c_in, n, sigma", [
+        (16, 32, 1, 0.0), (16, 32, 40, 0.3), (64, 512, 20, 0.01)])
+    def test_matches_per_sample_reference(self, n_patches, c_in, n, sigma):
+        g = SyntheticGen(seed=5, n_patches=n_patches, c_in=c_in, noise_sigma=sigma)
+        assert digest(generate(n, g)) == digest(generate_per_sample(n, g))
+
+    @pytest.mark.parametrize("seed, n_patches, c_in, n, sigma, want", GOLDEN)
+    def test_golden_digest(self, seed, n_patches, c_in, n, sigma, want):
+        g = SyntheticGen(seed=seed, n_patches=n_patches, c_in=c_in, noise_sigma=sigma)
+        assert digest(generate(n, g)) == want
+
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 40), data=st.data(),
+           sigma=st.sampled_from([0.0, 0.01, 0.3]))
+    @settings(max_examples=25, deadline=None)
+    def test_prefix_of_a_longer_run(self, seed, n, data, sigma):
+        """generate(k) is the first k samples of generate(n), k <= n."""
+        k = data.draw(st.integers(1, n))
+        g = small_gen(seed=seed, noise_sigma=sigma)
+        assert digest(generate(k, g)) == digest(generate(n, g)[:k])
+
+    def test_samples_own_disjoint_memory(self):
+        data = generate(3, small_gen(noise_sigma=0.01))
+        arrays = [t.data for f, p in data for t in (f, p.keypoints, p.twists, p.beta)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)

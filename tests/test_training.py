@@ -490,6 +490,18 @@ class TestAveraging:
             np.testing.assert_array_equal(t.data, last[name].data)
             assert not np.shares_memory(t.data, last[name].data), name
 
+    def test_result_is_new_tensors_with_flags_and_no_gradients(self):
+        heads = self._heads(2)
+        for _, t in heads[0].named_parameters():
+            t.grad = np.ones_like(t.data)
+        frozen_name, frozen = next(iter(heads[0].named_parameters()))
+        frozen.requires_grad = False
+        avg = average_checkpoints(heads)
+        assert avg.blocks[0].mha_2d.h == heads[0].blocks[0].mha_2d.h
+        for (name, a), (_, src) in zip(avg.named_parameters(), heads[0].named_parameters()):
+            assert a is not src and a.grad is None, name
+            assert a.requires_grad == (name != frozen_name), name
+
     def test_structure_mismatch_rejected(self):
         a = M.init_head(tiny_cfg(), np.random.default_rng(0))
         b = M.init_head(tiny_cfg(L=3), np.random.default_rng(0))
