@@ -179,7 +179,7 @@ def feed_forward(p: FFNParams, x: Tensor, *, dropout_p: float = 0.0,
                  rng: np.random.Generator | None = None) -> Tensor:
     """linear -> relu -> linear -> relu -> linear; no activation after the last
     layer. Dropout with probability dropout_p applies to the hidden
-    activations."""
-    h = T.dropout(T.relu(linear(p.layers[0], x)), dropout_p, rng)
-    h = T.dropout(T.relu(linear(p.layers[1], h)), dropout_p, rng)
+    activations, in the same tape entry as their relu."""
+    h = T.relu(linear(p.layers[0], x), dropout_p, rng)
+    h = T.relu(linear(p.layers[1], h), dropout_p, rng)
     return linear(p.layers[2], h)

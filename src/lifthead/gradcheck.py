@@ -87,7 +87,8 @@ def _weighted(out: T.Tensor, w: np.ndarray) -> T.Tensor:
 def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
     """One finite-difference check per differentiable primitive, plus one
     per N-D form of matmul, transpose and softmax_rows, and one per folded
-    form of layer_norm (residual), softmax_rows (scale) and matmul (bias).
+    form of layer_norm (residual, relu), softmax_rows (scale), matmul (bias)
+    and relu (dropout).
 
     Returns a name -> callable map; each callable takes a fault factor and
     returns the worst relative error for that primitive.
@@ -177,8 +178,16 @@ def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
             [r(3, 7), r(7), r(7), r(3, 7)], fault),
         "softmax_scaled": lambda fault=0.0: check_op(
             lambda t: _weighted(T.softmax_rows(t[0], scale=2.5), w237), [r(2, 3, 7)], fault),
-        "matmul_bias": lambda fault=0.0: check_op(  # last: the other rows keep their draws
+        # last: these rows draw their inputs when they run, after every row
+        # above, so those keep their draws
+        "matmul_bias": lambda fault=0.0: check_op(
             lambda t: _weighted(T.matmul(*t), w35), [r(3, 4), r(4, 5), bias5], fault),
+        "relu_dropout": lambda fault=0.0: check_op(
+            lambda t: _weighted(T.relu(t[0], 0.3, np.random.default_rng(drop_seed)), w35),
+            [r(3, 5)], fault),
+        "layer_norm_relu": lambda fault=0.0: check_op(
+            lambda t: _weighted(T.layer_norm(t[0], t[1], t[2], eps=1e-5, relu=True), w35),
+            [r(3, 5), r(5), r(5)], fault),
     }
     return checks
 

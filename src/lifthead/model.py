@@ -217,9 +217,10 @@ def _tile(x: Tensor, batch: int) -> Tensor:
 
 def _stage(attn_out: Tensor, residual: Tensor, ln: LayerNormParams, *,
            dropout_p: float, rng) -> Tensor:
-    """Dropout on the attention output, then residual add, layer norm, ReLU."""
+    """Dropout on the attention output, then residual add, layer norm, ReLU;
+    the last three are one layer_norm tape entry."""
     attn_out = T.dropout(attn_out, dropout_p, rng)
-    return T.relu(T.layer_norm(attn_out, ln.gamma, ln.beta, residual=residual))
+    return T.layer_norm(attn_out, ln.gamma, ln.beta, residual=residual, relu=True)
 
 
 def encode_2d_block(p: BlockParams, e_prev: Tensor, *, batch: int = 1,

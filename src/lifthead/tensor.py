@@ -12,7 +12,10 @@ refers to an input recorded on the same tape by its node id, holds a
 requires_grad leaf itself, and drops any other input. Each primitive's
 backward_fn captures only the arrays (and shapes, dtypes, constants) it
 reads, never an input Tensor, so an intermediate whose values no backward_fn
-needs is freed as soon as the forward pass lets go of it. Entries are not
+needs is freed as soon as the forward pass lets go of it. A mask is kept as
+a bool array, not a float copy: dropout and relu with dropout keep their
+masks so, and relu at p = 0 and layer_norm with relu read theirs from the
+output they return, which the next op keeps anyway. Entries are not
 consumed by backward(), so a tape can be replayed: a second backward() adds
 the same gradients again.
 
@@ -362,15 +365,29 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _maybe_record(out, (x,), bwd)
 
 
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); NaN propagates. The subgradient at 0 is 0."""
-    y = np.maximum(x.data, 0)
-    out = Tensor(y)
+def relu(x: Tensor, p: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """max(x, 0); NaN propagates. The subgradient at 0 is 0.
 
-    # the mask is read from the output: y > 0 exactly where x > 0 (NaN, +0
-    # and -0 give False in both), so the input need not be kept
-    def bwd(g):
-        return (g * (y > 0),)
+    With p > 0, inverted dropout follows: one tape entry, bit for bit
+    dropout(relu(x), p, rng), drawing the same mask from rng. It keeps two
+    bool masks, y > 0 and the kept elements; at p = 0 it keeps the output
+    and reads the mask from it."""
+    y = np.maximum(x.data, 0)
+    if p == 0.0:
+        out = Tensor(y)
+
+        # the mask is read from the output: y > 0 exactly where x > 0 (NaN,
+        # +0 and -0 give False in both), so the input need not be kept
+        def bwd(g):
+            return (g * (y > 0),)
+    else:
+        keep, s = _keep_mask(x, p, rng)
+        pos = y > 0
+        y *= keep * s
+        out = Tensor(y)
+
+        def bwd(g):
+            return ((g * (keep * s)) * pos,)
 
     return _maybe_record(out, (x,), bwd)
 
@@ -426,12 +443,14 @@ def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
-               residual: Optional[Tensor] = None) -> Tensor:
+               residual: Optional[Tensor] = None, relu: bool = False) -> Tensor:
     """Per-row normalization to zero mean and unit variance, then affine.
 
     With residual set, normalizes x + residual: bit for bit
     layer_norm(add(x, residual), ...), with both summands getting the
-    gradient of the sum."""
+    gradient of the sum. With relu set, applies relu to the result in
+    place: bit for bit relu(layer_norm(...)). Backward keeps xhat, inv_std
+    and gamma, and with relu the output, to mask the gradient by y > 0."""
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm expects a matrix, got shape {x.shape}")
     n = x.shape[1]
@@ -450,10 +469,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     gd = gamma.data
-    out = Tensor(xhat * gd + beta.data)
+    y = xhat * gd + beta.data
+    if relu:
+        np.maximum(y, 0, out=y)
+    out = Tensor(y)
     has_residual = residual is not None
+    relu_out = y if relu else None
 
     def bwd(g):
+        if relu_out is not None:
+            g = g * (relu_out > 0)
         gxhat = g * gd
         dx = inv_std * (
             gxhat
@@ -467,20 +492,27 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     return _maybe_record(out, inputs, bwd)
 
 
+def _keep_mask(x: Tensor, p: float, rng: np.random.Generator):
+    """The kept elements of inverted dropout over x's shape, drawn from rng
+    as one float64 array, and the survivors' scale 1/(1-p) in x's dtype."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    return rng.random(x.shape) >= p, x.dtype.type(1.0 / (1.0 - p))
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero each element with probability p and scale the
     survivors by 1/(1-p). At p = 0 it returns x itself, drawing nothing from
-    rng and recording nothing, so an eval forward passes p = 0."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    rng and recording nothing, so an eval forward passes p = 0. Backward
+    keeps the bool mask of kept elements and rebuilds the scale factor from
+    it."""
     if p == 0.0:
         return x
-    keep = rng.random(x.shape) >= p
-    factor = keep * x.dtype.type(1.0 / (1.0 - p))
-    out = Tensor(x.data * factor)
+    keep, s = _keep_mask(x, p, rng)
+    out = Tensor(x.data * (keep * s))
 
     def bwd(g):
-        return (g * factor,)
+        return (g * (keep * s),)
 
     return _maybe_record(out, (x,), bwd)
 

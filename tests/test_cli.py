@@ -352,7 +352,7 @@ class TestGradcheck:
         code, out, _ = run_cli(["gradcheck"], capsys)
         assert code == 0
         rows = [l for l in out.splitlines() if l.startswith("gradcheck.")]
-        assert len(rows) == 27  # 18 primitives, 4 N-D forms, 3 folded forms, 2 composed heads
+        assert len(rows) == 29  # 18 primitives, 4 N-D forms, 5 folded forms, 2 composed heads
         assert all(r.endswith("\tpass") for r in rows)
         assert any(r.startswith("gradcheck.composed_head\t") for r in rows)
         assert any(r.startswith("gradcheck.composed_head_batch3\t") for r in rows)

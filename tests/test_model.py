@@ -528,20 +528,22 @@ def template_grads(run, params, feats, w):
 
 
 def recording_dropout(monkeypatch):
-    """Patch T.dropout to log the keep mask of every call that draws one
-    (p > 0), read from a copy of the generator's state before the call
-    draws it."""
+    """Patch T.dropout and T.relu (whose p > 0 form applies dropout) to log,
+    in draw order, the keep mask of every call that draws one (p > 0), read
+    from a copy of the generator's state before the call draws it."""
     masks = []
-    real = T.dropout
 
-    def dropout(x, p, rng):
-        if p > 0.0:
-            probe = np.random.Generator(np.random.PCG64())
-            probe.bit_generator.state = rng.bit_generator.state
-            masks.append(probe.random(x.shape) >= p)
-        return real(x, p, rng)
+    def recording(real):
+        def draw(x, p=0.0, rng=None):
+            if p > 0.0:
+                probe = np.random.Generator(np.random.PCG64())
+                probe.bit_generator.state = rng.bit_generator.state
+                masks.append(probe.random(x.shape) >= p)
+            return real(x, p, rng)
+        return draw
 
-    monkeypatch.setattr(T, "dropout", dropout)
+    monkeypatch.setattr(T, "dropout", recording(T.dropout))
+    monkeypatch.setattr(T, "relu", recording(T.relu))
     return masks
 
 

@@ -515,7 +515,9 @@ class TestFoldedOps:
             T.layer_norm(x, t64(np.ones(3)), t64(np.zeros(3)), residual=r)
             T.softmax_rows(x, scale=0.5)
             T.matmul(x, t64(np.ones((3, 4))), t64(np.zeros(4)))
-        assert len(tape.entries) == 3
+            T.layer_norm(x, t64(np.ones(3)), t64(np.zeros(3)), residual=r, relu=True)
+            T.relu(x, 0.3, np.random.default_rng(0))
+        assert len(tape.entries) == 5
 
     def test_layer_norm_returns_one_gradient_per_input(self):
         x, r = t64(np.ones((2, 3)), grad=True), t64(np.zeros((2, 3)), grad=True)
@@ -530,3 +532,124 @@ class TestFoldedOps:
         with pytest.raises(T.ShapeError, match="residual"):
             T.layer_norm(t64(np.ones((2, 3))), t64(np.ones(3)), t64(np.zeros(3)),
                          residual=t64(np.ones((1, 3))))
+
+
+# The parent forms that relu's dropout, layer_norm's relu and dropout's bool
+# mask replaced, as they were: relu kept its output, dropout a float factor.
+
+def parent_relu(x):
+    y = np.maximum(x.data, 0)
+    out = T.Tensor(y)
+
+    def bwd(g):
+        return (g * (y > 0),)
+
+    return T._maybe_record(out, (x,), bwd)
+
+
+def parent_dropout(x, p, rng):
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if p == 0.0:
+        return x
+    keep = rng.random(x.shape) >= p
+    factor = keep * x.dtype.type(1.0 / (1.0 - p))
+    out = T.Tensor(x.data * factor)
+
+    def bwd(g):
+        return (g * factor,)
+
+    return T._maybe_record(out, (x,), bwd)
+
+
+# 3.3e38 is finite in float32 but overflows once scaled by 1/(1-p), p >= 0.1
+SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 3.3e38, -3.3e38])
+
+
+def with_specials(shape, seed, frac, dtype):
+    """Standard normal values, a fraction frac of them replaced by signed
+    zeros, NaN, infinities and values near float32's largest."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    holes = rng.random(shape) < frac
+    x[holes] = rng.choice(SPECIALS, size=int(holes.sum()))
+    return x.astype(dtype)
+
+
+def run_bits(fn, arrays, g, seed):
+    """Forward value, every input gradient and the generator state after
+    fn(rng, *leaves), with g as the gradient of the output."""
+    leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"), T.Tape() as tape:
+        out = fn(rng, *leaves)
+        T.backward(T.sum_(T.mul(out, T.Tensor(g))), tape)
+    return [out.data] + [leaf.grad for leaf in leaves], rng.bit_generator.state
+
+
+def assert_same_bits(got, want):
+    (got_arrays, got_state), (want_arrays, want_state) = got, want
+    assert len(got_arrays) == len(want_arrays)
+    for a, b in zip(got_arrays, want_arrays):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert got_state == want_state
+
+
+shapes = st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple)
+fracs = st.sampled_from([0.0, 0.05, 0.3, 1.0])
+dtypes = st.sampled_from([np.float64, np.float32])
+
+
+class TestMaskFolds:
+    """relu with dropout, layer_norm with relu and dropout with a bool mask
+    equal the parent forms bit for bit: forward, every gradient, and the
+    generator state, with signed zeros, NaN and infinities in the inputs
+    and the incoming gradient."""
+
+    @given(shape=shapes, p=st.sampled_from([0.0, 0.1, 0.3, 0.5]), seed=st.integers(0, 2**16),
+           frac=fracs, dtype=dtypes)
+    @settings(max_examples=80, deadline=None)
+    def test_relu_with_p_is_dropout_of_relu(self, shape, p, seed, frac, dtype):
+        x = with_specials(shape, seed, frac, dtype)
+        g = with_specials(shape, seed + 1, frac, dtype)
+        got = run_bits(lambda rng, t: T.relu(t, p, rng), [x], g, seed)
+        want = run_bits(lambda rng, t: parent_dropout(parent_relu(t), p, rng), [x], g, seed)
+        assert_same_bits(got, want)
+
+    @given(rows=st.integers(1, 12), n=st.integers(2, 33), residual=st.booleans(),
+           seed=st.integers(0, 2**16), frac=fracs, dtype=dtypes)
+    @settings(max_examples=80, deadline=None)
+    def test_layer_norm_relu_is_relu_of_layer_norm(self, rows, n, residual, seed, frac,
+                                                   dtype):
+        inputs = [(rows, n), (n,), (n,)] + [(rows, n)] * residual
+        arrays = [with_specials(s, seed + i, frac, dtype) for i, s in enumerate(inputs)]
+        g = with_specials((rows, n), seed + 9, frac, dtype)
+
+        def res(r):  # the residual keyword, if there is a residual
+            return dict(zip(["residual"], r))
+
+        got = run_bits(lambda rng, x, gm, bt, *r: T.layer_norm(x, gm, bt, relu=True, **res(r)),
+                       arrays, g, seed)
+        want = run_bits(lambda rng, x, gm, bt, *r: parent_relu(T.layer_norm(x, gm, bt, **res(r))),
+                        arrays, g, seed)
+        assert_same_bits(got, want)
+
+    @given(shape=shapes, p=st.sampled_from([0.1, 0.3, 0.5, 0.9]), seed=st.integers(0, 2**16),
+           frac=fracs, dtype=dtypes)
+    @settings(max_examples=80, deadline=None)
+    def test_bool_mask_dropout_is_factor_dropout(self, shape, p, seed, frac, dtype):
+        x = with_specials(shape, seed, frac, dtype)
+        g = with_specials(shape, seed + 1, frac, dtype)
+        got = run_bits(lambda rng, t: T.dropout(t, p, rng), [x], g, seed)
+        want = run_bits(lambda rng, t: parent_dropout(t, p, rng), [x], g, seed)
+        assert_same_bits(got, want)
+
+    def test_relu_rejects_a_bad_probability_without_drawing(self):
+        x = t64(np.zeros((2, 2)))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for p in (-0.1, 1.0, 1.5):
+            with pytest.raises(ValueError, match="probability"):
+                T.relu(x, p, rng)
+        assert rng.bit_generator.state == before

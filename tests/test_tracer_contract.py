@@ -24,7 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import tracer  # noqa: E402
 
 # tape entries of one tiny training step, as the benchmark counts them
-TINY_ENTRIES_PER_STEP = 154
+TINY_ENTRIES_PER_STEP = 148
 
 
 def test_traced_tiny_train_step_and_eval_forward():

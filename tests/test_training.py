@@ -4,6 +4,7 @@ import copy
 import math
 import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -764,9 +765,11 @@ class TestBatchedStep:
 
 
 # bytes of the distinct array buffers held by the closures of one tiny-profile
-# training tape (TestTapeLiveness.step_tape); when closures held their input
-# tensors, those tensors' arrays brought it to 9,335,048
-PINNED_TAPE_BYTES = 3_758_128
+# training tape (TestTapeLiveness.step_tape), by dropout probability; when
+# closures held their input tensors, those tensors' arrays brought the
+# dropout 0 tape to 9,335,048, and while dropout kept a float factor and the
+# feed-forward relus their outputs, the dropout 0.1 tape held 5,265,456
+PINNED_TAPE_BYTES = {0.0: 3_758_128, 0.1: 4_134_960}
 
 
 class TestTapeLiveness:
@@ -809,14 +812,29 @@ class TestTapeLiveness:
     def test_tiny_tape_array_bytes_are_pinned(self):
         # a deterministic proxy for the tape's memory: bytes of the distinct
         # buffers that backward_fn closures hold (the parameters included)
-        bases = {}
-        for entry in self.step_tape().entries:
-            for item in self.held(entry):
-                if isinstance(item, np.ndarray):
-                    while isinstance(item.base, np.ndarray):
-                        item = item.base
-                    bases[id(item)] = item.nbytes
-        assert sum(bases.values()) == PINNED_TAPE_BYTES
+        for dropout, pinned in PINNED_TAPE_BYTES.items():
+            bases = {}
+            for entry in self.step_tape(dropout).entries:
+                for item in self.held(entry):
+                    if isinstance(item, np.ndarray):
+                        while isinstance(item.base, np.ndarray):
+                            item = item.base
+                        bases[id(item)] = item.nbytes
+            assert sum(bases.values()) == pinned, dropout
+
+    def test_dropout_keeps_bool_masks_only(self):
+        """With dropout on, every dropout entry, and every relu entry (all
+        of which carry dropout), holds its masks as bool arrays: no float
+        array of its input's shape."""
+        kinds = Counter()
+        for entry in self.step_tape(dropout=0.1).entries:
+            kind = entry.backward_fn.__qualname__.split(".")[0]
+            if kind in ("dropout", "relu"):
+                kinds[kind] += 1
+                arrays = [a for a in self.held(entry) if isinstance(a, np.ndarray)]
+                assert arrays and all(a.dtype == np.bool_ for a in arrays), kind
+        # per block: 3 attention dropouts and 4 feed-forward relus
+        assert kinds == {"dropout": 6, "relu": 8}
 
     def test_train_holds_no_tape_across_adam_step(self, monkeypatch):
         tapes, live = [], []
