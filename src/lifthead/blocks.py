@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import tensor as T
+from . import workers as W
 from .tensor import ShapeError, Tensor
 
 
@@ -92,43 +93,113 @@ def rebuild(node, leaf):
     return node
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """A (fan_in, fan_out) Xavier-uniform draw, in float64."""
+# Xavier draws from which fill_uniform cuts its jobs into parts for the pool.
+# On 2 CPUs, whole init_head calls split against one part (medians of
+# alternating calls): 0.63M draws 6.08 against 5.91 ms, 1.26M draws 6.30
+# against 8.58 ms, paper's 28.6M draws 125 against 208 ms.
+SPLIT_DRAWS = 1 << 20
+# parts are handed out one at a time, so a thread that gets no CPU for a
+# while takes fewer; at paper size 2-16 parts timed alike, 32 or more slower
+SPLIT_PARTS = 16
+# bit generators whose advance(k) skips exactly the k 64-bit outputs that k
+# float64 uniform draws take; Philox.advance counts 4-output counter blocks
+_ADVANCE_PER_DRAW = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _xavier_bound(fan_in: int, fan_out: int) -> float:
+    """The bound a of a (fan_in, fan_out) Xavier-uniform draw from [-a, a)."""
     if fan_in <= 0 or fan_out <= 0:
         raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
-    a = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=(fan_in, fan_out))
+    return math.sqrt(6.0 / (fan_in + fan_out))
+
+
+def fill_uniform(rng: np.random.Generator, jobs) -> None:
+    """view[...] = rng.uniform(-a, a, size=view.shape) for each (view, a) of
+    jobs, in order: the values and rng's final state are those of that loop.
+
+    With more than one usable CPU, at least SPLIT_DRAWS draws and a PCG64 or
+    PCG64DXSM bit generator, the jobs are cut at job boundaries into parts
+    that workers.over_chunks fills on the pool. A uniform draw takes one
+    64-bit output, so a part's first draw is the one at its offset: each
+    part draws from a copy of rng's bit generator advanced by that offset,
+    and rng's is advanced by the total. advance() clears the buffered
+    32-bit half of a PCG64, so that is put back. Any other bit generator,
+    or fewer draws, runs the loop on the caller.
+    """
+    bg = rng.bit_generator
+    total = sum(view.size for view, _ in jobs)
+    if W.CPUS == 1 or total < SPLIT_DRAWS or type(bg) not in _ADVANCE_PER_DRAW:
+        for view, a in jobs:
+            view[...] = rng.uniform(-a, a, size=view.shape)
+        return
+    parts, offset = [], 0  # (offset, jobs) per part
+    for job in jobs:
+        if not parts or offset >= len(parts) * total / SPLIT_PARTS:
+            parts.append((offset, []))
+        parts[-1][1].append(job)
+        offset += job[0].size
+    state = bg.state
+
+    def fill(chunks):
+        for k in chunks:
+            start, part = parts[k]
+            part_bg = type(bg)()
+            part_bg.state = state
+            g = np.random.Generator(part_bg.advance(start))
+            for view, a in part:
+                view[...] = g.uniform(-a, a, size=view.shape)
+
+    W.over_chunks(fill, len(parts))
+    after = bg.advance(total).state
+    bg.state = {**after, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
 
 
 def init_params(rng: np.random.Generator, fan_in: int, fan_out: int,
-                dtype=T.DEFAULT_DTYPE) -> LinearParams:
-    """Xavier-uniform weights, zero bias."""
-    return LinearParams(
-        weight=Tensor(_xavier(rng, fan_in, fan_out).astype(dtype), requires_grad=True),
-        bias=Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True),
-    )
+                dtype=T.DEFAULT_DTYPE, jobs: list | None = None) -> LinearParams:
+    """Xavier-uniform weights, zero bias. The weight is drawn from rng before
+    this returns or, with jobs given, queued there for fill_uniform."""
+    a = _xavier_bound(fan_in, fan_out)
+    queue = [] if jobs is None else jobs
+    w = np.empty((fan_in, fan_out), dtype=dtype)
+    queue.append((w, a))
+    p = LinearParams(weight=Tensor(w, requires_grad=True),
+                     bias=Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True))
+    if jobs is None:
+        fill_uniform(rng, queue)
+    return p
 
 
 def init_mha(rng: np.random.Generator, d: int, h: int, scale_dim: int | None = None,
-             dtype=T.DEFAULT_DTYPE) -> MHAParams:
+             dtype=T.DEFAULT_DTYPE, jobs: list | None = None) -> MHAParams:
     """Per-head Xavier draws (q, k, v of head 0, then of head 1, ...), each
-    d -> d/h, written into head i's columns of the fused projections."""
+    d -> d/h, into head i's columns of the fused projections, then the
+    output projection's. Drawn or queued as init_params says."""
     if d % h != 0:
         raise ShapeError(f"width {d} not divisible by {h} heads")
     dh = d // h
+    a = _xavier_bound(d, dh)
+    queue = [] if jobs is None else jobs
     weights = [np.empty((d, d), dtype=dtype) for _ in range(3)]
-    for i in range(h):
-        for w in weights:
-            w[:, i * dh:(i + 1) * dh] = _xavier(rng, d, dh)
+    queue.extend((w[:, i * dh:(i + 1) * dh], a) for i in range(h) for w in weights)
     q, k, v = (LinearParams(weight=Tensor(w, requires_grad=True),
                             bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True))
                for w in weights)
-    return MHAParams(q=q, k=k, v=v, out=init_params(rng, d, d, dtype), h=h,
-                     scale_dim=scale_dim if scale_dim is not None else d)
+    p = MHAParams(q=q, k=k, v=v, out=init_params(rng, d, d, dtype, queue), h=h,
+                  scale_dim=scale_dim if scale_dim is not None else d)
+    if jobs is None:
+        fill_uniform(rng, queue)
+    return p
 
 
-def init_ffn(rng: np.random.Generator, d: int, dtype=T.DEFAULT_DTYPE) -> FFNParams:
-    return FFNParams(layers=[init_params(rng, d, d, dtype) for _ in range(3)])
+def init_ffn(rng: np.random.Generator, d: int, dtype=T.DEFAULT_DTYPE,
+             jobs: list | None = None) -> FFNParams:
+    """Three Xavier-initialized d -> d layers, drawn or queued as
+    init_params says."""
+    queue = [] if jobs is None else jobs
+    p = FFNParams(layers=[init_params(rng, d, d, dtype, queue) for _ in range(3)])
+    if jobs is None:
+        fill_uniform(rng, queue)
+    return p
 
 
 def linear(p: LinearParams, x: Tensor) -> Tensor:

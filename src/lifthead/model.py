@@ -145,32 +145,40 @@ def _init_embedding(rng: np.random.Generator, rows: int, d: int, dtype) -> Tenso
 
 
 def init_head(cfg: HeadConfig, rng: np.random.Generator, dtype=T.DEFAULT_DTYPE) -> HeadParams:
-    """Fresh parameters for every stage; deterministic for a given rng state."""
+    """Fresh parameters for every stage; deterministic for a given rng state.
+
+    The three normal embedding draws are made first, on the caller; every
+    Xavier weight is then queued in stage order and drawn by one
+    blocks.fill_uniform, which splits a paper-size head across the pool.
+    """
+    jobs: list = []
     templates = Templates(
         joint_emb=_init_embedding(rng, cfg.n_joints, cfg.d, dtype),
         type_emb=_init_embedding(rng, 3, cfg.d, dtype),
         pos_enc=_init_embedding(rng, cfg.n_patches, cfg.d, dtype),
-        input_proj=B.init_params(rng, cfg.c_in, cfg.d, dtype),
+        input_proj=B.init_params(rng, cfg.c_in, cfg.d, dtype, jobs),
     )
     blocks = []
     for _ in range(cfg.L):
         blocks.append(BlockParams(
-            mha_2d=B.init_mha(rng, cfg.d, cfg.h, cfg.scale_dim, dtype),
+            mha_2d=B.init_mha(rng, cfg.d, cfg.h, cfg.scale_dim, dtype, jobs),
             ln_2d=_init_layer_norm(cfg.d, dtype),
-            ffn_2d=B.init_ffn(rng, cfg.d, dtype),
-            mha_3d=B.init_mha(rng, cfg.d, cfg.h, cfg.scale_dim, dtype),
+            ffn_2d=B.init_ffn(rng, cfg.d, dtype, jobs),
+            mha_3d=B.init_mha(rng, cfg.d, cfg.h, cfg.scale_dim, dtype, jobs),
             ln_3d=_init_layer_norm(cfg.d, dtype),
-            mha_cross=B.init_mha(rng, cfg.d, cfg.h, cfg.scale_dim, dtype),
+            mha_cross=B.init_mha(rng, cfg.d, cfg.h, cfg.scale_dim, dtype, jobs),
             ln_cross=_init_layer_norm(cfg.d, dtype),
-            ffn_3d=B.init_ffn(rng, cfg.d, dtype),
+            ffn_3d=B.init_ffn(rng, cfg.d, dtype, jobs),
         ))
-    return HeadParams(
+    params = HeadParams(
         templates=templates,
         blocks=blocks,
-        proj_kpt=B.init_params(rng, cfg.d, cfg.kpt_width, dtype),
-        proj_twist=B.init_params(rng, cfg.d, cfg.twist_width, dtype),
-        proj_beta=B.init_params(rng, cfg.d, cfg.beta_dim, dtype),
+        proj_kpt=B.init_params(rng, cfg.d, cfg.kpt_width, dtype, jobs),
+        proj_twist=B.init_params(rng, cfg.d, cfg.twist_width, dtype, jobs),
+        proj_beta=B.init_params(rng, cfg.d, cfg.beta_dim, dtype, jobs),
     )
+    B.fill_uniform(rng, jobs)
+    return params
 
 
 def embed_source(features: Tensor, t: Templates,

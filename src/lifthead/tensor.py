@@ -13,11 +13,11 @@ requires_grad leaf itself, and drops any other input. Each primitive's
 backward_fn captures only the arrays (and shapes, dtypes, constants) it
 reads, never an input Tensor, so an intermediate whose values no backward_fn
 needs is freed as soon as the forward pass lets go of it. A mask is kept as
-a bool array, not a float copy: dropout and relu with dropout keep their
-masks so, and relu at p = 0 and layer_norm with relu read theirs from the
-output they return, which the next op keeps anyway. Entries are not
-consumed by backward(), so a tape can be replayed: a second backward() adds
-the same gradients again.
+a bool array, not a float copy: dropout and relu with dropout keep the
+mask of kept elements so, and relu and layer_norm with relu read the relu
+mask from the output they return, which the next op keeps anyway. Entries
+are not consumed by backward(), so a tape can be replayed: a second
+backward() adds the same gradients again.
 
 Heap policy: importing this module pins glibc's malloc thresholds for the
 whole process, so that the heap a training step frees is reused rather than
@@ -369,25 +369,27 @@ def relu(x: Tensor, p: float = 0.0, rng: Optional[np.random.Generator] = None) -
     """max(x, 0); NaN propagates. The subgradient at 0 is 0.
 
     With p > 0, inverted dropout follows: one tape entry, bit for bit
-    dropout(relu(x), p, rng), drawing the same mask from rng. It keeps two
-    bool masks, y > 0 and the kept elements; at p = 0 it keeps the output
-    and reads the mask from it."""
+    dropout(relu(x), p, rng), drawing the same mask from rng, and it keeps
+    the bool mask of kept elements. Either way the relu mask is read from
+    the output, which the next op keeps anyway."""
     y = np.maximum(x.data, 0)
     if p == 0.0:
         out = Tensor(y)
 
-        # the mask is read from the output: y > 0 exactly where x > 0 (NaN,
-        # +0 and -0 give False in both), so the input need not be kept
+        # y > 0 exactly where x > 0 (NaN, +0 and -0 give False in both), so
+        # the input need not be kept
         def bwd(g):
             return (g * (y > 0),)
     else:
         keep, s = _keep_mask(x, p, rng)
-        pos = y > 0
         y *= keep * s
         out = Tensor(y)
 
+        # s > 0 keeps a kept element positive or not (overflow to +inf
+        # included); a dropped one reads as not positive, and the factor has
+        # already zeroed its gradient, so the bits equal a y > 0 mask's
         def bwd(g):
-            return ((g * (keep * s)) * pos,)
+            return ((g * (keep * s)) * (y > 0),)
 
     return _maybe_record(out, (x,), bwd)
 

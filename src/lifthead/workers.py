@@ -1,8 +1,11 @@
 """Run independent pieces of work on the usable CPUs.
 
-numpy ufuncs, ``zlib.crc32`` on buffers over 5 KB and file writes release
-the interpreter lock, so threads running them use the CPUs in parallel. The
-pool is created on the first call that needs it, never on import, with one
+numpy ufuncs and random draws, ``zlib.crc32`` on buffers over 5 KB, and file
+reads and writes release the interpreter lock, so threads running them use
+the CPUs in parallel. What runs here: Adam's chunks (training.adam_step),
+the parts of a large Xavier initialization (blocks.fill_uniform), and the
+CRC32 of a large checkpoint beside its write or read (checkpoint). The pool
+is created on the first call that needs it, never on import, with one
 thread for each usable CPU besides the caller's; its threads wait idle
 between calls.
 """

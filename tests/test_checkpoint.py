@@ -317,6 +317,131 @@ class TestCrcWorker:
         assert threading.active_count() == threads
 
 
+def finishes(fn, timeout=30.0):
+    """fn()'s exception (None if it returned), run on a daemon thread that
+    must end within timeout seconds: a hang fails the test, not the run."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as e:  # noqa: BLE001 - handed to the test
+            raised.append(e)
+        else:
+            raised.append(None)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "read_tensors did not return"
+    return raised[0]
+
+
+class TestCrcWorkerRead:
+    """A file of READ_WORKER_BYTES or more is read in READ_SLICE slices while
+    a pool thread computes the CRC32 of each slice as it lands."""
+
+    SLICE = 1 << 20
+
+    @pytest.fixture(autouse=True)
+    def two_cpus_small_gate_and_slices(self, monkeypatch):
+        monkeypatch.setattr(W, "CPUS", 2)
+        monkeypatch.setattr(C, "READ_WORKER_BYTES", 1 << 22)
+        monkeypatch.setattr(C, "READ_SLICE", self.SLICE)
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        rng = np.random.default_rng(1)
+        n = 1 << 20
+        write_tensors(path, {"a": rng.standard_normal(n).astype(np.float32),
+                             "b.c": rng.standard_normal((3, 5)),
+                             "d": rng.standard_normal(n + 7)})  # starts the pool
+        assert path.stat().st_size > max(4 * self.SLICE, C.READ_WORKER_BYTES)
+        return path
+
+    def test_arrays_equal_the_inline_read_as_read_only_views_of_one_buffer(
+            self, path, monkeypatch):
+        calls = []
+        run_all = W.run_all
+        monkeypatch.setattr(W, "run_all", lambda fns: calls.append(fns) or run_all(fns))
+        worker = read_tensors(path)
+        assert len(calls) == 1
+        monkeypatch.setattr(C, "READ_WORKER_BYTES", 1 << 62)
+        inline = read_tensors(path)
+        assert len(calls) == 1
+        assert list(worker) == list(inline)
+        for name, arr in worker.items():
+            assert arr.dtype == inline[name].dtype and arr.shape == inline[name].shape
+            assert arr.tobytes() == inline[name].tobytes()
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+        assert len({id(arr.base) for arr in worker.values()}) == 1
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "trailer"])
+    def test_flipped_byte_in_any_slice_is_checksum_error(self, path, where):
+        raw = bytearray(path.read_bytes())
+        at = {"first": 100, "middle": len(raw) // 2 + 3, "last": len(raw) - 9,
+              "trailer": len(raw) - 2}[where]
+        raw[at] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumError, match="checksum"):
+            read_tensors(path)
+
+    def test_file_truncated_after_stat_is_an_error(self, path, monkeypatch):
+        threads = threading.active_count()
+        fstat = os.fstat
+
+        def fstat_then_truncate(fd):
+            st = fstat(fd)
+            os.truncate(path, st.st_size - self.SLICE - 5)
+            return st
+
+        monkeypatch.setattr(C.os, "fstat", fstat_then_truncate)
+        err = finishes(lambda: read_tensors(path))
+        assert isinstance(err, ChecksumError) and "ended at byte" in str(err)
+        assert threading.active_count() == threads
+
+    def test_read_error_propagates_and_joins_the_crc_thread(self, path, monkeypatch):
+        threads = threading.active_count()
+        crc_calls = []
+        crc32 = zlib.crc32
+
+        def slow_crc(buf, value=0):
+            time.sleep(0.01)
+            crc_calls.append(len(buf))
+            return crc32(buf, value)
+
+        class FailingFile:
+            def __init__(self, f):
+                self.f, self.reads = f, 0
+
+            def fileno(self):
+                return self.f.fileno()
+
+            def readinto(self, buf):
+                self.reads += 1
+                if self.reads == 3:
+                    raise OSError("read failed")
+                return self.f.readinto(buf)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(C.zlib, "crc32", slow_crc)
+        monkeypatch.setattr(C, "open", lambda p, mode: FailingFile(open(p, mode)),
+                            raising=False)
+        err = finishes(lambda: read_tensors(path))
+        assert isinstance(err, OSError) and str(err) == "read failed"
+        # the two slices read before the failure were checksummed, no more
+        assert crc_calls == [self.SLICE, self.SLICE]
+        assert threading.active_count() == threads
+
+
 class TestCorruption:
     def _write(self, tmp_path):
         path = tmp_path / "t.ckpt"

@@ -1,6 +1,10 @@
 """Lifting-head tests: template assembly, block composition against plain
 numpy references, structural invariances, and end-to-end gradient checks."""
 
+import hashlib
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 import lifthead.blocks as B
 import lifthead.model as M
 import lifthead.tensor as T
+import lifthead.workers as W
 from lifthead.gradcheck import rel_error
 from lifthead.model import HeadConfig, NormalizationDegenerateError
 from lifthead.tensor import Tape, Tensor, backward
@@ -755,3 +760,194 @@ class TestGradientFlow:
             out = M.forward(cfg, params, feats)
             backward(T.sum_(out.keypoints), tape)
         assert feats.grad is not None and feats.grad.shape == feats.shape
+
+
+def serial_xavier(rng, fan_in, fan_out):
+    """The Xavier draw as init_head made it before draws were queued."""
+    if fan_in <= 0 or fan_out <= 0:
+        raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
+    a = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-a, a, size=(fan_in, fan_out))
+
+
+def serial_init_head(cfg, rng, dtype):
+    """name -> array of init_head as it drew before draws were queued: the
+    three embeddings, then every weight in stage order, one serial_xavier
+    call each (one per head and projection in attention)."""
+    out, d = {}, cfg.d
+
+    def embedding(name, rows):
+        out[name] = (rng.standard_normal((rows, d)) / np.sqrt(d)).astype(dtype)
+
+    def linear(name, fan_in, fan_out):
+        out[f"{name}.weight"] = serial_xavier(rng, fan_in, fan_out).astype(dtype)
+        out[f"{name}.bias"] = np.zeros(fan_out, dtype)
+
+    def mha(name):
+        dh = d // cfg.h
+        weights = [np.empty((d, d), dtype=dtype) for _ in range(3)]
+        for i in range(cfg.h):
+            for w in weights:
+                w[:, i * dh:(i + 1) * dh] = serial_xavier(rng, d, dh)
+        for proj, w in zip("qkv", weights):
+            out[f"{name}.{proj}.weight"], out[f"{name}.{proj}.bias"] = w, np.zeros(d, dtype)
+        linear(f"{name}.out", d, d)
+
+    def norm(name):
+        out[f"{name}.gamma"], out[f"{name}.beta"] = np.ones(d, dtype), np.zeros(d, dtype)
+
+    embedding("templates.joint_emb", cfg.n_joints)
+    embedding("templates.type_emb", 3)
+    embedding("templates.pos_enc", cfg.n_patches)
+    linear("templates.input_proj", cfg.c_in, d)
+    for b in range(cfg.L):
+        for stage, ffn in (("2d", "ffn_2d"), ("3d", None), ("cross", "ffn_3d")):
+            mha(f"blocks.{b}.mha_{stage}")
+            norm(f"blocks.{b}.ln_{stage}")
+            for j in range(3 if ffn else 0):
+                linear(f"blocks.{b}.{ffn}.layers.{j}", d, d)
+    for name, width in (("kpt", cfg.kpt_width), ("twist", cfg.twist_width),
+                        ("beta", cfg.beta_dim)):
+        linear(f"proj_{name}", d, width)
+    return out
+
+
+BIT_GENERATORS = {
+    "pcg64": np.random.PCG64,
+    "pcg64_buffered": np.random.PCG64,  # after an odd count of uint32 draws
+    "pcg64dxsm": np.random.PCG64DXSM,
+    "philox": np.random.Philox,
+    "mt19937": np.random.MT19937,
+}
+
+
+def same_state(a, b):
+    """Bit-generator states equal, key for key (MT19937's key is an array)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def parameter_digest(params):
+    """SHA-256 over every parameter's name and bytes, in walk order."""
+    h = hashlib.sha256()
+    for name, t in params.named_parameters():
+        h.update(name.encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+class TestSplitDraws:
+    """init_head queues its Xavier draws and blocks.fill_uniform makes them,
+    split across the pool by PCG64 jump-ahead: every byte and the final
+    generator state are those of one serial pass."""
+
+    @staticmethod
+    def generator(kind, seed, uint32_draws):
+        rng = np.random.Generator(BIT_GENERATORS[kind](seed))
+        if kind == "pcg64_buffered":
+            rng.integers(0, 2**32, size=2 * uint32_draws + 1, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        return rng
+
+    @staticmethod
+    def split_forced(mp, parts, cpus):
+        """Patch the gate down so any draw count splits; returns the list
+        that each over_chunks call appends its part count to."""
+        mp.setattr(B, "SPLIT_DRAWS", 0)
+        mp.setattr(B, "SPLIT_PARTS", parts)
+        mp.setattr(W, "CPUS", cpus)
+        splits = []
+        over_chunks = W.over_chunks
+        mp.setattr(W, "over_chunks", lambda fn, n: splits.append(n) or over_chunks(fn, n))
+        return splits
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(BIT_GENERATORS)), seed=st.integers(0, 2**32 - 1),
+           uint32_draws=st.integers(0, 3), dtype=st.sampled_from([np.float32, np.float64]),
+           L=st.integers(1, 2), h=st.sampled_from([1, 2, 4]), dh=st.integers(1, 4),
+           n_patches=st.integers(1, 5), c_in=st.integers(1, 6),
+           parts=st.integers(1, 40), cpus=st.integers(2, 3))
+    def test_split_head_is_the_serial_head(self, kind, seed, uint32_draws, dtype, L, h, dh,
+                                           n_patches, c_in, parts, cpus):
+        cfg = HeadConfig(L=L, h=h, d=h * dh, n_patches=n_patches, c_in=c_in)
+        want_rng = self.generator(kind, seed, uint32_draws)
+        want = serial_init_head(cfg, want_rng, dtype)
+        rng = self.generator(kind, seed, uint32_draws)
+        with pytest.MonkeyPatch.context() as mp:
+            splits = self.split_forced(mp, parts, cpus)
+            got = {name: t.data for name, t in M.init_head(cfg, rng, dtype=dtype)
+                   .named_parameters()}
+        assert sorted(got) == sorted(want)
+        for name, arr in got.items():
+            assert arr.dtype == want[name].dtype and arr.shape == want[name].shape, name
+            assert arr.tobytes() == want[name].tobytes(), name
+        assert same_state(rng.bit_generator.state, want_rng.bit_generator.state)
+        # only generators whose advance() counts draws are split
+        if kind.startswith("pcg64"):
+            assert len(splits) == 1 and 1 <= splits[0] <= parts
+        else:
+            assert splits == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(sorted(BIT_GENERATORS)), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]), h=st.sampled_from([1, 2, 3]),
+           dh=st.integers(1, 5), parts=st.integers(1, 8))
+    def test_split_mha_and_ffn_are_serial(self, kind, seed, dtype, h, dh, parts):
+        d = h * dh
+        rng, want_rng = self.generator(kind, seed, 1), self.generator(kind, seed, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            self.split_forced(mp, parts, 2)
+            mha, ffn = B.init_mha(rng, d, h, dtype=dtype), B.init_ffn(rng, d, dtype=dtype)
+        # head i's q, k, v columns, then the output projection, then the FFN
+        got = [p.weight.data[:, i * dh:(i + 1) * dh] for i in range(h)
+               for p in (mha.q, mha.k, mha.v)]
+        got += [mha.out.weight.data] + [lp.weight.data for lp in ffn.layers]
+        want = [serial_xavier(want_rng, d, dh) for _ in range(3 * h)]
+        want += [serial_xavier(want_rng, d, d) for _ in range(4)]
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == dtype and g.tobytes() == w.astype(dtype).tobytes()
+        assert same_state(rng.bit_generator.state, want_rng.bit_generator.state)
+
+    def test_many_threads_switching_often_draw_the_serial_head(self, monkeypatch):
+        # more threads than most hosts have cores, switching as often as the
+        # interpreter allows: a part drawn from the wrong offset shows here
+        cfg = HeadConfig(L=2, h=4, d=64, n_patches=8, c_in=16)
+        want = serial_init_head(cfg, np.random.default_rng(5), np.float32)
+        splits = self.split_forced(monkeypatch, 64, 4)
+        monkeypatch.setattr(W, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = M.init_head(cfg, np.random.default_rng(5))
+        finally:
+            sys.setswitchinterval(interval)
+            pool = W._pool
+            pool.shutdown(wait=True)
+        assert len(splits) == 1 and splits[0] > 4  # more parts than threads
+        assert all(t.data.tobytes() == want[name].tobytes()
+                   for name, t in got.named_parameters())
+        assert all(not t.is_alive() for t in pool._threads)
+
+    # SHA-256 of init_head's parameters at seed 0 (parameter_digest), taken
+    # from the serial code before draws were queued
+    DIGESTS = {
+        "tiny": "a383b4a6b4118e2e149f4aeb70c6bde406ce579acf46b8572e5ca7dfea4b1ddc",
+        "paper": "b8e35b5e42b19b76dc6e185244e781c4033a6a30b760642bff002f02ac07df7f",
+    }
+
+    @pytest.mark.parametrize("profile, cpus", [("tiny", 1), ("tiny", 2), ("paper", 1),
+                                               ("paper", 2)])
+    def test_seed_0_parameters_are_pinned(self, monkeypatch, profile, cpus):
+        monkeypatch.setattr(W, "CPUS", cpus)
+        cfg = (HeadConfig(L=2, h=2, d=32, n_patches=16, c_in=32) if profile == "tiny"
+               else HeadConfig())
+        assert parameter_digest(M.init_head(cfg, np.random.default_rng(0))) == \
+            self.DIGESTS[profile]
+
+    def test_tiny_head_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(W, "CPUS", 2)
+        monkeypatch.setattr(W, "_pool", None)
+        M.init_head(HeadConfig(L=2, h=2, d=32, n_patches=16, c_in=32),
+                    np.random.default_rng(0))
+        assert W._pool is None
