@@ -117,10 +117,10 @@ def fill_uniform(rng: np.random.Generator, jobs) -> None:
     """view[...] = rng.uniform(-a, a, size=view.shape) for each (view, a) of
     jobs, in order: the values and rng's final state are those of that loop.
 
-    With more than one usable CPU, at least SPLIT_DRAWS draws and a PCG64 or
-    PCG64DXSM bit generator, the jobs are cut at job boundaries into parts
-    that workers.over_chunks fills on the pool. A uniform draw takes one
-    64-bit output, so a part's first draw is the one at its offset: each
+    With at least SPLIT_DRAWS draws and a PCG64 or PCG64DXSM bit generator,
+    the jobs are cut at job boundaries into parts that workers.over_chunks
+    fills, on the pool given more than one usable CPU. A uniform draw takes
+    one 64-bit output, so a part's first draw is the one at its offset: each
     part draws from a copy of rng's bit generator advanced by that offset,
     and rng's is advanced by the total. advance() clears the buffered
     32-bit half of a PCG64, so that is put back. Any other bit generator,
@@ -128,7 +128,7 @@ def fill_uniform(rng: np.random.Generator, jobs) -> None:
     """
     bg = rng.bit_generator
     total = sum(view.size for view, _ in jobs)
-    if W.CPUS == 1 or total < SPLIT_DRAWS or type(bg) not in _ADVANCE_PER_DRAW:
+    if total < SPLIT_DRAWS or type(bg) not in _ADVANCE_PER_DRAW:
         for view, a in jobs:
             view[...] = rng.uniform(-a, a, size=view.shape)
         return
@@ -154,52 +154,40 @@ def fill_uniform(rng: np.random.Generator, jobs) -> None:
     bg.state = {**after, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
 
 
-def init_params(rng: np.random.Generator, fan_in: int, fan_out: int,
-                dtype=T.DEFAULT_DTYPE, jobs: list | None = None) -> LinearParams:
-    """Xavier-uniform weights, zero bias. The weight is drawn from rng before
-    this returns or, with jobs given, queued there for fill_uniform."""
+def init_params(fan_in: int, fan_out: int, jobs: list,
+                dtype=T.DEFAULT_DTYPE) -> LinearParams:
+    """A zero bias and an empty weight, whose Xavier-uniform draw is
+    appended to jobs for fill_uniform."""
     a = _xavier_bound(fan_in, fan_out)
-    queue = [] if jobs is None else jobs
     w = np.empty((fan_in, fan_out), dtype=dtype)
-    queue.append((w, a))
-    p = LinearParams(weight=Tensor(w, requires_grad=True),
-                     bias=Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True))
-    if jobs is None:
-        fill_uniform(rng, queue)
-    return p
+    jobs.append((w, a))
+    return LinearParams(weight=Tensor(w, requires_grad=True),
+                        bias=Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True))
 
 
-def init_mha(rng: np.random.Generator, d: int, h: int, scale_dim: int | None = None,
-             dtype=T.DEFAULT_DTYPE, jobs: list | None = None) -> MHAParams:
-    """Per-head Xavier draws (q, k, v of head 0, then of head 1, ...), each
-    d -> d/h, into head i's columns of the fused projections, then the
-    output projection's. Drawn or queued as init_params says."""
+def init_mha(d: int, h: int, jobs: list, scale_dim: int | None = None,
+             dtype=T.DEFAULT_DTYPE) -> MHAParams:
+    """Zero biases and empty weights, with the per-head Xavier draws (q, k,
+    v of head 0, then of head 1, ...), each d -> d/h into head i's columns
+    of the fused projections, then the output projection's, appended to
+    jobs in that order."""
     if d % h != 0:
         raise ShapeError(f"width {d} not divisible by {h} heads")
     dh = d // h
     a = _xavier_bound(d, dh)
-    queue = [] if jobs is None else jobs
     weights = [np.empty((d, d), dtype=dtype) for _ in range(3)]
-    queue.extend((w[:, i * dh:(i + 1) * dh], a) for i in range(h) for w in weights)
+    jobs.extend((w[:, i * dh:(i + 1) * dh], a) for i in range(h) for w in weights)
     q, k, v = (LinearParams(weight=Tensor(w, requires_grad=True),
                             bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True))
                for w in weights)
-    p = MHAParams(q=q, k=k, v=v, out=init_params(rng, d, d, dtype, queue), h=h,
-                  scale_dim=scale_dim if scale_dim is not None else d)
-    if jobs is None:
-        fill_uniform(rng, queue)
-    return p
+    return MHAParams(q=q, k=k, v=v, out=init_params(d, d, jobs, dtype), h=h,
+                     scale_dim=scale_dim if scale_dim is not None else d)
 
 
-def init_ffn(rng: np.random.Generator, d: int, dtype=T.DEFAULT_DTYPE,
-             jobs: list | None = None) -> FFNParams:
-    """Three Xavier-initialized d -> d layers, drawn or queued as
-    init_params says."""
-    queue = [] if jobs is None else jobs
-    p = FFNParams(layers=[init_params(rng, d, d, dtype, queue) for _ in range(3)])
-    if jobs is None:
-        fill_uniform(rng, queue)
-    return p
+def init_ffn(d: int, jobs: list, dtype=T.DEFAULT_DTYPE) -> FFNParams:
+    """Three d -> d layers as init_params makes them, their draws appended
+    to jobs in layer order."""
+    return FFNParams(layers=[init_params(d, d, jobs, dtype) for _ in range(3)])
 
 
 def linear(p: LinearParams, x: Tensor) -> Tensor:

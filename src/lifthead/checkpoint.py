@@ -5,9 +5,9 @@ tensor count, then per tensor: u16 name length, UTF-8 name, u8 rank, one u64
 per dimension, u8 dtype code (0 = float32, 1 = float64), raw element bytes in
 row-major order. The file ends with the CRC32 (u32) of every preceding byte.
 The CRC is validated before any parsing, so truncation or corruption anywhere
-surfaces as a checksum error rather than a garbled read. For a large file and
-more than one usable CPU, the CRC is computed on a pool thread
-(workers.run_all) while the caller writes the file, or reads it in slices.
+surfaces as a checksum error rather than a garbled read. For a large file
+the CRC is computed beside the write, or beside a read in slices
+(workers.run_all: on a pool thread given more than one usable CPU).
 
 Version 2 names the fused attention projections (``blocks.0.mha_2d.q.weight``
 where version 1 had ``blocks.0.mha_2d.heads.0.q.weight``); version 1 files
@@ -103,7 +103,7 @@ def write_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
                 for buf in bufs:
                     f.write(buf)
 
-            if W.CPUS > 1 and size >= CRC_WORKER_BYTES:
+            if size >= CRC_WORKER_BYTES:
                 _, crc = W.run_all([write, checksum])
             else:
                 write()
@@ -119,16 +119,17 @@ def write_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
 def _read_with_crc(path) -> tuple[memoryview, int]:
     """The file's bytes, read-only, and the CRC32 of all but the last 4.
 
-    A file of at least READ_WORKER_BYTES is read, with more than one usable
-    CPU, into one buffer of the size fstat gives, READ_SLICE bytes at a
-    time, while a pool thread chains the CRC32 over each slice as it lands
-    (workers.run_all). The reader hands the thread its end-of-file marker
-    even when a read fails, so the thread never waits on a slice that will
-    not come; a file that ends before that size is a ChecksumError.
+    A file of at least READ_WORKER_BYTES is read into one buffer of the
+    size fstat gives, READ_SLICE bytes at a time, while a pool thread
+    chains the CRC32 over each slice as it lands (workers.run_all; with one
+    CPU the reader runs first and queues every slice, the queue being
+    unbounded). The reader hands the thread its end-of-file marker even
+    when a read fails, so the thread never waits on a slice that will not
+    come; a file that ends before that size is a ChecksumError.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        if W.CPUS == 1 or size < READ_WORKER_BYTES:
+        if size < READ_WORKER_BYTES:
             raw = memoryview(f.read())
             return raw, zlib.crc32(raw[:-4])
         buf = np.empty(size, np.uint8)

@@ -224,7 +224,7 @@ def cmd_eval(cfg: dict[str, object]) -> int:
     if cfg["eval_samples"] < 1:
         raise ConfigError(f"eval_samples must be >= 1, got {cfg['eval_samples']}")
     hc = head_config(cfg)
-    params = M.init_head(hc, np.random.default_rng(cfg["seed"]))
+    params = M.allocate_head(hc, [])  # every value comes from the checkpoint
     ckpt.load_checkpoint(str(cfg["checkpoint"]), params)
     dataset = _dataset(cfg, cfg["eval_samples"],
                        cfg["data_seed"] + HELDOUT_SEED_OFFSET)

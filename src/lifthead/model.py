@@ -63,6 +63,8 @@ class HeadConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d % self.h != 0:
             raise ValueError(f"width d={self.d} must be divisible by h={self.h} heads")
+        if self.scale_dim <= 0:
+            raise ValueError(f"attn_scale_dim must be positive, got {self.attn_scale_dim}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -137,46 +139,47 @@ def _init_layer_norm(d: int, dtype) -> LayerNormParams:
     )
 
 
-def _init_embedding(rng: np.random.Generator, rows: int, d: int, dtype) -> Tensor:
-    # unit-variance rows after summation would swamp the streams; keep O(1)
-    # activations with the usual 1/sqrt(d) embedding scale
-    return Tensor((rng.standard_normal((rows, d)) / np.sqrt(d)).astype(dtype),
-                  requires_grad=True)
+def allocate_head(cfg: HeadConfig, jobs: list, dtype=T.DEFAULT_DTYPE) -> HeadParams:
+    """The head's parameters, drawing nothing: zero biases and betas, unit
+    gammas, and np.empty embeddings and weights. Every weight's Xavier job
+    is appended to jobs, in stage order, for blocks.fill_uniform; a loaded
+    checkpoint (load_checkpoint) overwrites every value instead."""
+    def empty(rows: int) -> Tensor:
+        return Tensor(np.empty((rows, cfg.d), dtype=dtype), requires_grad=True)
+
+    templates = Templates(B.init_params(cfg.c_in, cfg.d, jobs, dtype),
+                          empty(cfg.n_patches), empty(cfg.n_joints), empty(3))
+    blocks = [BlockParams(
+        mha_2d=B.init_mha(cfg.d, cfg.h, jobs, cfg.scale_dim, dtype),
+        ln_2d=_init_layer_norm(cfg.d, dtype),
+        ffn_2d=B.init_ffn(cfg.d, jobs, dtype),
+        mha_3d=B.init_mha(cfg.d, cfg.h, jobs, cfg.scale_dim, dtype),
+        ln_3d=_init_layer_norm(cfg.d, dtype),
+        mha_cross=B.init_mha(cfg.d, cfg.h, jobs, cfg.scale_dim, dtype),
+        ln_cross=_init_layer_norm(cfg.d, dtype),
+        ffn_3d=B.init_ffn(cfg.d, jobs, dtype),
+    ) for _ in range(cfg.L)]
+    return HeadParams(
+        templates=templates,
+        blocks=blocks,
+        proj_kpt=B.init_params(cfg.d, cfg.kpt_width, jobs, dtype),
+        proj_twist=B.init_params(cfg.d, cfg.twist_width, jobs, dtype),
+        proj_beta=B.init_params(cfg.d, cfg.beta_dim, jobs, dtype),
+    )
 
 
 def init_head(cfg: HeadConfig, rng: np.random.Generator, dtype=T.DEFAULT_DTYPE) -> HeadParams:
-    """Fresh parameters for every stage; deterministic for a given rng state.
-
-    The three normal embedding draws are made first, on the caller; every
-    Xavier weight is then queued in stage order and drawn by one
-    blocks.fill_uniform, which splits a paper-size head across the pool.
-    """
+    """Fresh parameters for every stage; deterministic for a given rng state:
+    allocate_head's structure, the three normal embedding draws (joint,
+    type, pos) on the caller, then every Xavier weight by one
+    blocks.fill_uniform, which splits a paper-size head across the pool."""
     jobs: list = []
-    templates = Templates(
-        joint_emb=_init_embedding(rng, cfg.n_joints, cfg.d, dtype),
-        type_emb=_init_embedding(rng, 3, cfg.d, dtype),
-        pos_enc=_init_embedding(rng, cfg.n_patches, cfg.d, dtype),
-        input_proj=B.init_params(rng, cfg.c_in, cfg.d, dtype, jobs),
-    )
-    blocks = []
-    for _ in range(cfg.L):
-        blocks.append(BlockParams(
-            mha_2d=B.init_mha(rng, cfg.d, cfg.h, cfg.scale_dim, dtype, jobs),
-            ln_2d=_init_layer_norm(cfg.d, dtype),
-            ffn_2d=B.init_ffn(rng, cfg.d, dtype, jobs),
-            mha_3d=B.init_mha(rng, cfg.d, cfg.h, cfg.scale_dim, dtype, jobs),
-            ln_3d=_init_layer_norm(cfg.d, dtype),
-            mha_cross=B.init_mha(rng, cfg.d, cfg.h, cfg.scale_dim, dtype, jobs),
-            ln_cross=_init_layer_norm(cfg.d, dtype),
-            ffn_3d=B.init_ffn(rng, cfg.d, dtype, jobs),
-        ))
-    params = HeadParams(
-        templates=templates,
-        blocks=blocks,
-        proj_kpt=B.init_params(rng, cfg.d, cfg.kpt_width, dtype, jobs),
-        proj_twist=B.init_params(rng, cfg.d, cfg.twist_width, dtype, jobs),
-        proj_beta=B.init_params(rng, cfg.d, cfg.beta_dim, dtype, jobs),
-    )
+    params = allocate_head(cfg, jobs, dtype)
+    t = params.templates
+    for emb in (t.joint_emb, t.type_emb, t.pos_enc):
+        # unit-variance rows after summation would swamp the streams; keep
+        # O(1) activations with the usual 1/sqrt(d) embedding scale
+        emb.data[...] = rng.standard_normal(emb.shape) / np.sqrt(cfg.d)
     B.fill_uniform(rng, jobs)
     return params
 

@@ -10,6 +10,7 @@ achievable goal and a meaningful health signal for the whole head.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class SyntheticGen:
     def __post_init__(self):
         if self.n_patches < 1 or self.c_in < 1:
             raise ValueError("n_patches and c_in must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.n_patches * self.c_in < TARGET_DIM:
             raise ValueError(
                 f"feature size {self.n_patches}x{self.c_in} cannot carry the "

@@ -62,8 +62,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.warmup_steps < 1:
             raise ValueError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
-        if self.max_lr <= 0:
-            raise ValueError(f"max_lr must be positive, got {self.max_lr}")
+        if not 0 < self.max_lr < math.inf:
+            raise ValueError(f"max_lr must be positive and finite, got {self.max_lr}")
+        for name in ("w_kpt", "w_twist", "w_beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

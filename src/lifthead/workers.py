@@ -7,7 +7,7 @@ the parts of a large Xavier initialization (blocks.fill_uniform), and the
 CRC32 of a large checkpoint beside its write or read (checkpoint). The pool
 is created on the first call that needs it, never on import, with one
 thread for each usable CPU besides the caller's; its threads wait idle
-between calls.
+between calls. With one usable CPU, run_all runs the calls on the caller.
 """
 
 from __future__ import annotations
@@ -27,15 +27,18 @@ def run_all(calls: Sequence[Callable[[], R]]) -> list[R]:
     """Each call's result, in order, with the calls run concurrently.
 
     The first call runs on the caller and the others on pool threads, so a
-    single call starts no thread. Every call has finished when this returns
-    or raises; it raises the exception of the first call, in order, that
-    raised.
+    single call starts no thread. With one usable CPU the calls run in
+    order on the caller and no pool is started; a call after one that
+    raised then never starts. So a call may wait on an earlier one (the
+    checkpoint CRC consumer on the reader before it) but never on a later
+    one. Every call that started has finished when this returns or raises;
+    it raises the exception of the first call, in order, that raised.
     """
     global _pool
-    if len(calls) == 1:
-        return [calls[0]()]
+    if len(calls) == 1 or CPUS == 1:
+        return [call() for call in calls]
     if _pool is None:
-        _pool = ThreadPoolExecutor(max(1, CPUS - 1), thread_name_prefix="lifthead")
+        _pool = ThreadPoolExecutor(CPUS - 1, thread_name_prefix="lifthead")
     futures = [_pool.submit(call) for call in calls[1:]]
     try:
         first = calls[0]()

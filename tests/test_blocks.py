@@ -13,6 +13,15 @@ from lifthead import tensor as T
 from lifthead.gradcheck import check_op
 
 
+def drawn(rng, init, *args, **kw):
+    """init(*args, jobs=..., **kw) with the Xavier draws it queues made from
+    rng by one blocks.fill_uniform."""
+    jobs = []
+    params = init(*args, jobs=jobs, **kw)
+    B.fill_uniform(rng, jobs)
+    return params
+
+
 def t64(a, grad=False):
     return T.Tensor(np.asarray(a, dtype=np.float64), requires_grad=grad)
 
@@ -108,7 +117,7 @@ class TestMultiHeadAttention:
 
     def test_output_shape(self):
         rng = np.random.default_rng(6)
-        p = B.init_mha(rng, d=8, h=2, dtype=np.float64)
+        p = drawn(rng, B.init_mha, d=8, h=2, dtype=np.float64)
         out = B.multi_head_attention(p, t64(rng.normal(size=(5, 8))),
                                      t64(rng.normal(size=(7, 8))),
                                      t64(rng.normal(size=(7, 8))))
@@ -117,7 +126,7 @@ class TestMultiHeadAttention:
     def test_matches_per_head_loop_oracle(self):
         d, h = 8, 2
         rng = np.random.default_rng(7)
-        p = B.init_mha(rng, d=d, h=h, dtype=np.float64)
+        p = drawn(rng, B.init_mha, d=d, h=h, dtype=np.float64)
         # break the zero-bias symmetry so the oracle exercises biases too
         for lp in (p.q, p.k, p.v, p.out):
             lp.bias.data = rng.normal(size=d)
@@ -131,7 +140,7 @@ class TestMultiHeadAttention:
     def test_batched_matches_per_sample_oracle(self, h, dk, batch, m, n, seed):
         d = h * dk
         rng = np.random.default_rng(seed)
-        p = B.init_mha(rng, d=d, h=h, dtype=np.float64)
+        p = drawn(rng, B.init_mha, d=d, h=h, dtype=np.float64)
         for lp in (p.q, p.k, p.v, p.out):
             lp.bias.data = rng.normal(size=d)
         q = rng.normal(size=(batch, m, d))
@@ -142,17 +151,17 @@ class TestMultiHeadAttention:
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
 
     def test_rows_must_split_into_samples(self):
-        p = B.init_mha(np.random.default_rng(0), d=4, h=2, dtype=np.float64)
+        p = drawn(np.random.default_rng(0), B.init_mha, d=4, h=2, dtype=np.float64)
         x = t64(np.zeros((5, 4)))
         with pytest.raises(T.ShapeError, match="samples"):
             B.multi_head_attention(p, x, x, x, batch=2)
 
     def test_fused_init_is_concatenated_per_head_draws(self):
         d, h = 12, 3
-        got = B.init_mha(np.random.default_rng(3), d=d, h=h)
+        got = drawn(np.random.default_rng(3), B.init_mha, d=d, h=h)
         rng = np.random.default_rng(3)
-        heads = [[B.init_params(rng, d, d // h) for _ in range(3)] for _ in range(h)]
-        out = B.init_params(rng, d, d)
+        heads = [[drawn(rng, B.init_params, d, d // h) for _ in range(3)] for _ in range(h)]
+        out = drawn(rng, B.init_params, d, d)
         for j, lp in enumerate((got.q, got.k, got.v)):
             want = np.concatenate([hd[j].weight.data for hd in heads], axis=1)
             assert lp.weight.data.dtype == want.dtype
@@ -161,14 +170,14 @@ class TestMultiHeadAttention:
         np.testing.assert_array_equal(got.out.weight.data, out.weight.data)
 
     def test_scale_dim_defaults_to_model_width(self):
-        p = B.init_mha(np.random.default_rng(0), d=8, h=2)
+        p = drawn(np.random.default_rng(0), B.init_mha, d=8, h=2)
         assert p.scale_dim == 8
-        p2 = B.init_mha(np.random.default_rng(0), d=8, h=2, scale_dim=4)
+        p2 = drawn(np.random.default_rng(0), B.init_mha, d=8, h=2, scale_dim=4)
         assert p2.scale_dim == 4
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(T.ShapeError):
-            B.init_mha(np.random.default_rng(0), d=8, h=3)
+            drawn(np.random.default_rng(0), B.init_mha, d=8, h=3)
 
 
 class TestFeedForward:
@@ -180,13 +189,13 @@ class TestFeedForward:
         np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
 
     def test_shape_preserved(self):
-        p = B.init_ffn(np.random.default_rng(1), d=8, dtype=np.float64)
+        p = drawn(np.random.default_rng(1), B.init_ffn, d=8, dtype=np.float64)
         out = B.feed_forward(p, t64(np.random.default_rng(2).normal(size=(5, 8))))
         assert out.shape == (5, 8)
 
     def test_matches_hand_composed_chain(self):
         rng = np.random.default_rng(8)
-        p = B.init_ffn(rng, d=8, dtype=np.float64)
+        p = drawn(rng, B.init_ffn, d=8, dtype=np.float64)
         for lp in p.layers:
             lp.bias.data = rng.normal(size=8)
         x = rng.normal(size=(3, 8))
@@ -199,29 +208,29 @@ class TestFeedForward:
     def test_requires_exactly_three_layers(self):
         rng = np.random.default_rng(0)
         with pytest.raises(T.ShapeError):
-            B.FFNParams(layers=[B.init_params(rng, 4, 4) for _ in range(2)])
+            B.FFNParams(layers=[drawn(rng, B.init_params, 4, 4) for _ in range(2)])
 
 
 class TestInitParams:
     def test_bias_exactly_zero(self):
-        p = B.init_params(np.random.default_rng(0), 16, 8)
+        p = drawn(np.random.default_rng(0), B.init_params, 16, 8)
         np.testing.assert_array_equal(p.bias.data, np.zeros(8))
 
     def test_weight_variance(self):
         fan_in, fan_out = 100, 100
-        p = B.init_params(np.random.default_rng(1), fan_in, fan_out)
+        p = drawn(np.random.default_rng(1), B.init_params, fan_in, fan_out)
         target = 2.0 / (fan_in + fan_out)
         var = p.weight.data.var()
         assert abs(var - target) / target < 0.10
 
     def test_same_seed_bit_identical(self):
-        a = B.init_params(np.random.default_rng(7), 8, 8)
-        b = B.init_params(np.random.default_rng(7), 8, 8)
+        a = drawn(np.random.default_rng(7), B.init_params, 8, 8)
+        b = drawn(np.random.default_rng(7), B.init_params, 8, 8)
         np.testing.assert_array_equal(a.weight.data, b.weight.data)
 
     def test_positive_dims_required(self):
         with pytest.raises(ValueError):
-            B.init_params(np.random.default_rng(0), 0, 4)
+            drawn(np.random.default_rng(0), B.init_params, 0, 4)
 
 
 class TestComposedGradients:

@@ -242,13 +242,25 @@ class TestFailedWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
 
 
+def usable_cpus(monkeypatch, cpus):
+    """Patch workers.CPUS; with one CPU, yield and check no pool was started."""
+    monkeypatch.setattr(W, "CPUS", cpus)
+    if cpus == 1:
+        monkeypatch.setattr(W, "_pool", None)
+    yield
+    if W.CPUS == 1:  # unless the test undid the patch
+        assert W._pool is None
+
+
 class TestCrcWorker:
     """A payload of CRC_WORKER_BYTES or more has its CRC32 computed on a
     pool thread while the caller writes the file."""
 
+    CPUS = 2
+
     @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(W, "CPUS", 2)
+    def cpus(self, monkeypatch):
+        yield from usable_cpus(monkeypatch, self.CPUS)
 
     def _large(self):
         rng = np.random.default_rng(0)
@@ -309,12 +321,21 @@ class TestCrcWorker:
                             raising=False)
         with pytest.raises(OSError, match="disk full"):
             write_tensors(path, {"x": np.ones(3, dtype=np.float32), **tensors})
-        # every buffer was checksummed before the error surfaced
-        assert len(crc_calls) == 2 * (len(tensors) + 1) + 1
+        # with a pool thread every buffer was checksummed before the error
+        # surfaced; run in order on one CPU, the CRC32 never started
+        assert len(crc_calls) == (2 * (len(tensors) + 1) + 1 if self.CPUS > 1 else 0)
+        assert self.CPUS > 1 or W._pool is None
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
         assert threading.active_count() == threads
+
+
+class TestCrcWorkerOneCpu(TestCrcWorker):
+    """The same writes with one usable CPU: workers.run_all writes, then
+    computes the CRC32, on the caller, and starts no pool."""
+
+    CPUS = 1
 
 
 def finishes(fn, timeout=30.0):
@@ -342,12 +363,13 @@ class TestCrcWorkerRead:
     a pool thread computes the CRC32 of each slice as it lands."""
 
     SLICE = 1 << 20
+    CPUS = 2
 
     @pytest.fixture(autouse=True)
-    def two_cpus_small_gate_and_slices(self, monkeypatch):
-        monkeypatch.setattr(W, "CPUS", 2)
+    def cpus_small_gate_and_slices(self, monkeypatch):
         monkeypatch.setattr(C, "READ_WORKER_BYTES", 1 << 22)
         monkeypatch.setattr(C, "READ_SLICE", self.SLICE)
+        yield from usable_cpus(monkeypatch, self.CPUS)
 
     @pytest.fixture
     def path(self, tmp_path):
@@ -437,9 +459,18 @@ class TestCrcWorkerRead:
                             raising=False)
         err = finishes(lambda: read_tensors(path))
         assert isinstance(err, OSError) and str(err) == "read failed"
-        # the two slices read before the failure were checksummed, no more
-        assert crc_calls == [self.SLICE, self.SLICE]
+        # the two slices read before the failure were checksummed, no more;
+        # run in order on one CPU, the CRC32 never started
+        assert crc_calls == ([self.SLICE, self.SLICE] if self.CPUS > 1 else [])
         assert threading.active_count() == threads
+
+
+class TestCrcWorkerReadOneCpu(TestCrcWorkerRead):
+    """The same reads with one usable CPU: workers.run_all reads every slice
+    into the queue, then chains the CRC32 over them, on the caller, and
+    starts no pool."""
+
+    CPUS = 1
 
 
 class TestCorruption:

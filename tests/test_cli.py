@@ -10,6 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
+import lifthead.blocks as B
 import lifthead.checkpoint as C
 import lifthead.model as M
 import lifthead.synthetic as S
@@ -273,6 +274,25 @@ class TestConfigErrors:
         code, _, err = run_cli(["params", "--d", "33", "--h", "8"], capsys)
         assert code == 1 and "d=33" in err
 
+    @pytest.mark.parametrize("argv", [["params", "--attn-scale-dim", "0"],
+                                      ["train", "--profile", "tiny", "--attn-scale-dim", "-4"]])
+    def test_non_positive_attn_scale_dim_names_field(self, capsys, tmp_path, argv):
+        code, _, err = run_cli([*argv, "--out", str(tmp_path / "run")], capsys)
+        assert code == 1
+        assert err.startswith("config error: attn_scale_dim must be positive"), err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_lr", "nan"), ("max_lr", "inf"), ("w_kpt", "nan"), ("w_twist", "inf"),
+        ("w_beta", "-inf"), ("noise_sigma", "nan"), ("noise_sigma", "inf")])
+    def test_non_finite_setting_names_field(self, capsys, tmp_path, field, value):
+        flag = "--" + field.replace("_", "-")
+        code, _, err = run_cli(["train", *MICRO, f"{flag}={value}",
+                                "--out", str(tmp_path / "run")], capsys)
+        assert code == 1
+        assert err.startswith(f"config error: {field} must be "), err
+        assert "finite" in err
+
     def test_invalid_log_level(self, capsys, monkeypatch):
         monkeypatch.setenv("LIFT_LOG_LEVEL", "chatty")
         code, _, err = run_cli(["schedule", "--steps", "1"], capsys)
@@ -514,6 +534,24 @@ class TestEval:
         assert code == 1
         assert "degenerate output: sample 0 twist row 0" in err
         assert "config error" not in err
+
+    def test_draws_nothing(self, capsys, tmp_path, monkeypatch):
+        # every value comes from the checkpoint: no Xavier or embedding draw
+        path = str(self.run_train(capsys, tmp_path) / "averaged.ckpt")
+        argv = ["eval", *MICRO, "--checkpoint", path]
+        code, want, _ = run_cli(argv, capsys)
+        assert code == 0
+
+        def no_draws(*args, **kw):
+            raise AssertionError("eval drew initial parameters")
+
+        monkeypatch.setattr(B, "fill_uniform", no_draws)
+        monkeypatch.setattr(M, "init_head", no_draws)
+        code, got, _ = run_cli(argv, capsys)
+        assert code == 0
+        lines = [line for line in got.splitlines() if line.startswith("eval.")]
+        assert len(lines) == 3
+        assert lines == [line for line in want.splitlines() if line.startswith("eval.")]
 
     def test_architecture_mismatch_exits_one(self, capsys, tmp_path):
         out_dir = self.run_train(capsys, tmp_path)

@@ -17,6 +17,7 @@ import lifthead.workers as W
 from lifthead.gradcheck import rel_error
 from lifthead.model import HeadConfig, NormalizationDegenerateError
 from lifthead.tensor import Tape, Tensor, backward
+from test_blocks import drawn
 
 
 def tiny_cfg(**kw):
@@ -114,6 +115,11 @@ class TestHeadConfig:
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             HeadConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_attn_scale_dim_must_be_positive(self, value):
+        with pytest.raises(ValueError, match=f"attn_scale_dim must be positive, got {value}"):
+            HeadConfig(attn_scale_dim=value)
 
 
 # ---------------------------------------------------------------- templates
@@ -837,6 +843,49 @@ def parameter_digest(params):
     return h.hexdigest()
 
 
+class TestAllocateHead:
+    """allocate_head builds init_head's structure and draws nothing."""
+
+    @staticmethod
+    def job_keys(params, jobs):
+        """(parameter name, byte offset, shape, strides, bound) per job."""
+        owner = {id(t.data): name for name, t in params.named_parameters()}
+        keys = []
+        for view, a in jobs:
+            base = view if view.base is None else view.base
+            keys.append((owner[id(base)], view.ctypes.data - base.ctypes.data,
+                         view.shape, view.strides, a))
+        return keys
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_heads_structure_and_jobs(self, monkeypatch, dtype):
+        cfg = HeadConfig(L=2, h=4, d=16, n_patches=5, c_in=6)
+        jobs = []
+        allocated = M.allocate_head(cfg, jobs, dtype)
+        filled = []
+        fill_uniform = B.fill_uniform
+        monkeypatch.setattr(B, "fill_uniform",
+                            lambda rng, js: filled.append(list(js)) or fill_uniform(rng, js))
+        init = M.init_head(cfg, np.random.default_rng(0), dtype=dtype)
+        assert len(filled) == 1
+        got, want = dict(allocated.named_parameters()), dict(init.named_parameters())
+        assert list(got) == list(want)
+        for name, t in got.items():
+            assert t.shape == want[name].shape, name
+            assert t.data.dtype == want[name].data.dtype == dtype, name
+            assert t.requires_grad and t.grad is None, name
+            if name.endswith((".bias", ".beta")):
+                assert not want[name].data.any() and not t.data.any(), name
+            elif name.endswith(".gamma"):
+                assert (want[name].data == 1).all() and (t.data == 1).all(), name
+        keys = self.job_keys(allocated, jobs)
+        assert keys == self.job_keys(init, filled[0])
+        # the jobs cover every weight, once, and nothing else
+        weights = [name for name in got if name.endswith(".weight")]
+        assert sorted({k[0] for k in keys}) == sorted(weights)
+        assert sum(view.size for view, _ in jobs) == sum(got[n].size for n in weights)
+
+
 class TestSplitDraws:
     """init_head queues its Xavier draws and blocks.fill_uniform makes them,
     split across the pool by PCG64 jump-ahead: every byte and the final
@@ -898,7 +947,8 @@ class TestSplitDraws:
         rng, want_rng = self.generator(kind, seed, 1), self.generator(kind, seed, 1)
         with pytest.MonkeyPatch.context() as mp:
             self.split_forced(mp, parts, 2)
-            mha, ffn = B.init_mha(rng, d, h, dtype=dtype), B.init_ffn(rng, d, dtype=dtype)
+            mha = drawn(rng, B.init_mha, d, h, dtype=dtype)
+            ffn = drawn(rng, B.init_ffn, d, dtype=dtype)
         # head i's q, k, v columns, then the output projection, then the FFN
         got = [p.weight.data[:, i * dh:(i + 1) * dh] for i in range(h)
                for p in (mha.q, mha.k, mha.v)]

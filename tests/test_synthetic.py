@@ -63,8 +63,9 @@ class TestGeneratorBasics:
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be"):
             generate(0, small_gen())
-        with pytest.raises(ValueError, match="noise_sigma"):
-            small_gen(noise_sigma=-0.1)
+        for sigma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise_sigma"):
+                small_gen(noise_sigma=sigma)
         with pytest.raises(ValueError, match="rank"):
             SyntheticGen(n_patches=4, c_in=6)
 

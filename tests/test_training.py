@@ -58,6 +58,12 @@ class TestSchedule:
         with pytest.raises(ValueError, match="step"):
             lr_at(0, TrainConfig())
 
+    @pytest.mark.parametrize("field", ["max_lr", "w_kpt", "w_twist", "w_beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            TrainConfig(**{field: value})
+
     @given(step=st.integers(min_value=1, max_value=10**9))
     @settings(max_examples=200, deadline=None)
     def test_never_exceeds_max(self, step):

@@ -3,6 +3,8 @@
 import sys
 import threading
 
+import pytest
+
 import lifthead.workers as W
 
 
@@ -30,4 +32,27 @@ def test_one_chunk_runs_on_the_caller(monkeypatch):
     monkeypatch.setattr(W, "_pool", None)
     assert W.over_chunks(lambda chunks: (threading.get_ident(), list(chunks)), 1) == [
         (threading.get_ident(), [0])]
+    assert W._pool is None
+
+
+def test_one_cpu_runs_the_calls_in_order_on_the_caller(monkeypatch):
+    monkeypatch.setattr(W, "CPUS", 1)
+    monkeypatch.setattr(W, "_pool", None)
+    me, ran = threading.get_ident(), []
+
+    def call(k):
+        def run():
+            ran.append((k, threading.get_ident()))
+            if k == 1:
+                raise ValueError("call 1")
+            return k
+        return run
+
+    assert W.run_all([call(0), call(2), call(3)]) == [0, 2, 3]
+    assert ran == [(0, me), (2, me), (3, me)]
+    ran.clear()
+    with pytest.raises(ValueError, match="call 1"):
+        W.run_all([call(0), call(1), call(2)])
+    assert ran == [(0, me), (1, me)]  # a call after a failed one never starts
+    assert W.over_chunks(lambda chunks: list(chunks), 5) == [[0, 1, 2, 3, 4]]
     assert W._pool is None
