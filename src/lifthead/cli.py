@@ -184,10 +184,9 @@ def train_config(cfg: dict[str, object]) -> TR.TrainConfig:
     return _from_cfg(TR.TrainConfig, cfg)
 
 
-def _dataset(cfg: dict[str, object], n: int, seed: int):
-    gen = S.SyntheticGen(seed=seed, n_patches=cfg["n_patches"],
-                         c_in=cfg["c_in"], noise_sigma=cfg["noise_sigma"])
-    return S.generate(n, gen)
+def _generator(cfg: dict[str, object], seed: int) -> S.SyntheticGen:
+    return S.SyntheticGen(seed=seed, n_patches=cfg["n_patches"],
+                          c_in=cfg["c_in"], noise_sigma=cfg["noise_sigma"])
 
 
 def cmd_train(cfg: dict[str, object]) -> int:
@@ -197,12 +196,13 @@ def cmd_train(cfg: dict[str, object]) -> int:
         return 0
     if cfg["n_samples"] < 1:
         raise ConfigError(f"n_samples must be >= 1, got {cfg['n_samples']}")
+    gen = _generator(cfg, cfg["data_seed"])  # validates before any path is made
     out_dir = str(cfg["out_dir"])
     metrics_file = str(cfg["metrics_file"])
     os.makedirs(out_dir, exist_ok=True)
     os.makedirs(os.path.dirname(os.path.abspath(metrics_file)), exist_ok=True)
 
-    dataset = _dataset(cfg, cfg["n_samples"], cfg["data_seed"])
+    dataset = S.generate(cfg["n_samples"], gen)
     params = M.init_head(hc, np.random.default_rng(cfg["seed"]))
     log.info("training: %d samples, %d epochs, batch %d",
              len(dataset), tc.epochs, tc.batch_size)
@@ -224,10 +224,10 @@ def cmd_eval(cfg: dict[str, object]) -> int:
     if cfg["eval_samples"] < 1:
         raise ConfigError(f"eval_samples must be >= 1, got {cfg['eval_samples']}")
     hc = head_config(cfg)
+    gen = _generator(cfg, cfg["data_seed"] + HELDOUT_SEED_OFFSET)
     params = M.allocate_head(hc, [])  # every value comes from the checkpoint
     ckpt.load_checkpoint(str(cfg["checkpoint"]), params)
-    dataset = _dataset(cfg, cfg["eval_samples"],
-                       cfg["data_seed"] + HELDOUT_SEED_OFFSET)
+    dataset = S.generate(cfg["eval_samples"], gen)
     log.info("evaluating %s on %d held-out samples",
              cfg["checkpoint"], len(dataset))
     metrics = TR.evaluate(hc, params, dataset)

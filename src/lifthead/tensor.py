@@ -15,9 +15,10 @@ reads, never an input Tensor, so an intermediate whose values no backward_fn
 needs is freed as soon as the forward pass lets go of it. A mask is kept as
 a bool array, not a float copy: dropout and relu with dropout keep the
 mask of kept elements so, and relu and layer_norm with relu read the relu
-mask from the output they return, which the next op keeps anyway. Entries
-are not consumed by backward(), so a tape can be replayed: a second
-backward() adds the same gradients again.
+mask from the output they return, which the next op keeps anyway.
+backward() pops each entry as it walks past it, so an activation is freed
+once the last entry that reads it has run, while the gradients build up. A
+tape is therefore walked once: a second backward() on it raises.
 
 Heap policy: importing this module pins glibc's malloc thresholds for the
 whole process, so that the heap a training step frees is reused rather than
@@ -148,7 +149,9 @@ class Tape:
     """Ordered record of executed primitives for one forward pass.
 
     Entries are appended in execution order, so every op's inputs precede it
-    and a single reverse sweep visits each op exactly once.
+    and a single reverse sweep visits each op exactly once. backward()
+    consumes the entries as it sweeps, so a tape is walked once; record a
+    new tape for another pass.
     """
 
     def __init__(self):
@@ -158,6 +161,7 @@ class Tape:
         # hold leaf tensors, so a back-reference would make every tape a
         # reference cycle, freed only by the cyclic garbage collector.
         self.key = object()
+        self.walked = False
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -193,19 +197,28 @@ def _maybe_record(out, inputs, backward_fn):
 def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf tensor.
 
-    Repeated calls without zeroing add up: two identical passes leave exactly
+    Each entry is popped off tape.entries as the reverse sweep reaches it, so
+    the arrays its backward_fn holds are let go before the next entry runs,
+    and the tape is left empty. A tape is walked once: calling backward() on it
+    again raises RuntimeError rather than returning no gradient. Gradients
+    are added to .grad, so two passes over two identical tapes leave exactly
     twice the gradient of one.
     """
     if loss.size != 1:
         raise NonScalarLossError(f"loss must be scalar, got shape {loss.shape}")
+    if tape.walked:
+        raise RuntimeError("backward() has already walked this tape; record a "
+                           "new tape for another pass")
+    tape.walked = True
     adjoint: dict[int, np.ndarray] = {}
     if loss._tape is tape.key and loss._node_id is not None:
         adjoint[loss._node_id] = np.ones_like(loss.data)
     elif loss.requires_grad:
         # loss is itself a leaf; nothing upstream to differentiate
         loss.accumulate_grad(np.ones_like(loss.data))
-        return
-    for entry in reversed(tape.entries):
+    entries = tape.entries
+    while entries:
+        entry = entries.pop()
         g = adjoint.pop(entry.out_id, None)
         if g is None:
             continue  # not on a path from the loss

@@ -373,6 +373,13 @@ def train(head_cfg: HeadConfig, params: HeadParams,
     error, a non-finite gradient with step/lr/parameter. params are first
     packed into a new Adam arena, so on return their .data are views of one
     buffer.
+
+    Each epoch ends by writing its checkpoint and then feeding the window
+    (or, at the window's first epoch, creating it from a copy of the arena).
+    At the last epoch the Adam state is dropped in between, so its moments
+    are freed before the window copies or sums the arena: a window that
+    starts at the last epoch (a 1-epoch call) never holds the copy beside
+    the moments.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -406,19 +413,22 @@ def train(head_cfg: HeadConfig, params: HeadParams,
                 if not math.isfinite(loss_value):
                     raise TrainingAborted(step, lr, loss_value)
                 backward(total, tape)
-            # the tape holds what backward read; free it before the update,
-            # the window's copy or sum and the checkpoint writes
+            # backward emptied the tape as it walked it; drop the tape too,
+            # so that no tape outlives its step
             del tape
             adam_step(named, state, lr)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             metrics.append(StepMetrics(step, epoch, lr, loss_value, wall_ms))
-        if window is not None:
-            window.add(state.arena)
-        elif epoch >= cfg.epochs - cfg.avg_last_epochs:
-            window = _RunningMean(params, state.arena.copy())
         if checkpoint_dir is not None:
             C.save_checkpoint(params, state,
                               f"{checkpoint_dir}/epoch_{epoch:04d}.ckpt")
+        arena = state.arena
+        if epoch == cfg.epochs - 1:
+            del state  # frees the moments before the window's copy or sum
+        if window is not None:
+            window.add(arena)
+        elif epoch >= cfg.epochs - cfg.avg_last_epochs:
+            window = _RunningMean(params, arena.copy())
 
     averaged = params if window is None else average_checkpoints(window)
     if checkpoint_dir is not None and window is not None:

@@ -293,6 +293,13 @@ class TestConfigErrors:
         assert err.startswith(f"config error: {field} must be "), err
         assert "finite" in err
 
+    def test_rejected_data_setting_creates_no_path(self, capsys, tmp_path):
+        code, _, err = run_cli(["train", *MICRO, "--noise-sigma=-1",
+                                "--out", str(tmp_path / "run")], capsys)
+        assert code == 1
+        assert err.startswith("config error: noise_sigma must be "), err
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_log_level(self, capsys, monkeypatch):
         monkeypatch.setenv("LIFT_LOG_LEVEL", "chatty")
         code, _, err = run_cli(["schedule", "--steps", "1"], capsys)
@@ -466,6 +473,12 @@ class TestEval:
                                 "--checkpoint", str(tmp_path / "no.ckpt")], capsys)
         assert code == 1
         assert err.startswith("config error: eval_samples must be >= 1"), err
+
+    def test_noise_sigma_checked_before_the_checkpoint_is_read(self, capsys, tmp_path):
+        code, _, err = run_cli(["eval", *MICRO, "--noise-sigma=-1",
+                                "--checkpoint", str(tmp_path / "no.ckpt")], capsys)
+        assert code == 1
+        assert err.startswith("config error: noise_sigma must be "), err
 
     def test_prints_three_metrics(self, capsys, tmp_path):
         out_dir = self.run_train(capsys, tmp_path)

@@ -82,6 +82,31 @@ class TestMixingMap:
         g = SyntheticGen(seed=3, n_patches=64, c_in=512)
         assert np.linalg.matrix_rank(g.mixing_map()) == TARGET_DIM
 
+    def test_equal_keys_share_one_read_only_map(self):
+        a = small_gen(seed=5).mixing_map()
+        b = small_gen(seed=5, noise_sigma=0.5).mixing_map()  # noise is not in the key
+        assert b is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+
+    def test_a_new_key_draws_again(self):
+        a = small_gen(seed=5).mixing_map()
+        for other in (small_gen(seed=6), small_gen(seed=5, n_patches=8),
+                      small_gen(seed=5, c_in=16)):
+            b = other.mixing_map()
+            assert b is not a
+            assert b.shape == (TARGET_DIM, other.n_patches * other.c_in)
+        assert small_gen(seed=5).mixing_map() is not a  # the cache holds one map
+
+    def test_cached_bytes_equal_an_uncached_draw(self):
+        g = small_gen(seed=7)
+        g.mixing_map()  # fill the cache, then read it back
+        rng = np.random.default_rng((7, 0xA11CE))
+        drawn = rng.standard_normal((TARGET_DIM, 16 * 32))
+        drawn /= np.sqrt(TARGET_DIM)
+        assert g.mixing_map().tobytes() == drawn.tobytes()
+
 
 class TestFlattening:
     def test_round_trip(self):

@@ -1,6 +1,8 @@
 """Tensor core: primitive semantics, gradients against finite differences,
 tape invariants."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,13 +223,57 @@ class TestBackward:
             T.backward(y, tape)
 
     def test_accumulation_is_exactly_double(self):
+        # a tape is walked once, so the second pass records a tape of its own
+        x = t64(np.arange(4.0).reshape(2, 2), grad=True)
+        once = None
+        for _ in range(2):
+            with T.Tape() as tape:
+                loss = T.sum_(T.scale(x, 3.0))
+            T.backward(loss, tape)
+            if once is None:
+                once = x.grad.copy()
+        np.testing.assert_array_equal(x.grad, 2.0 * once)
+
+    def test_backward_empties_the_tape(self):
+        x = t64(np.arange(4.0).reshape(2, 2), grad=True)
+        with T.Tape() as tape:
+            loss = T.sum_(T.mul(T.scale(x, 3.0), x))
+        assert len(tape.entries) == 3
+        T.backward(loss, tape)
+        assert tape.entries == []
+
+    def test_early_activation_is_freed_during_backward(self):
+        # h's array is held only by the mul entry's closure; the sweep pops
+        # that entry before it runs the first entry (scale), which runs last
+        x = t64(np.arange(4.0).reshape(2, 2), grad=True)
+        with T.Tape() as tape:
+            h = T.scale(x, 2.0)
+            loss = T.sum_(T.mul(h, h))
+        h_alive = weakref.ref(h.data)
+        del h
+        assert h_alive() is not None
+        first = tape.entries[0]
+        run_first, seen = first.backward_fn, []
+
+        def watched(g):
+            seen.append(h_alive() is None)
+            return run_first(g)
+
+        first.backward_fn = watched
+        del first
+        T.backward(loss, tape)
+        assert seen == [True]
+        np.testing.assert_array_equal(x.grad, 8.0 * x.data)
+
+    def test_second_backward_on_a_walked_tape_raises(self):
         x = t64(np.arange(4.0).reshape(2, 2), grad=True)
         with T.Tape() as tape:
             loss = T.sum_(T.scale(x, 3.0))
         T.backward(loss, tape)
         once = x.grad.copy()
-        T.backward(loss, tape)
-        np.testing.assert_array_equal(x.grad, 2.0 * once)
+        with pytest.raises(RuntimeError, match="already walked"):
+            T.backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, once)
 
     def test_reused_intermediate_accumulates(self):
         # y used twice: d(sum(y*y + y))/dx must see both paths

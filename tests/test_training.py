@@ -497,6 +497,32 @@ class TestAveraging:
             np.testing.assert_array_equal(t.data, last[name].data)
             assert not np.shares_memory(t.data, last[name].data), name
 
+    def test_one_epoch_window_is_made_after_the_moments_are_freed(self, tmp_path,
+                                                                   monkeypatch):
+        # last epoch: checkpoint (with the moments), drop Adam, then the window
+        moments, seen = [], []
+        real_init = TR.AdamState.init
+
+        def init(params):
+            state = real_init(params)
+            moments.extend(weakref.ref(a) for a in (state.m_flat, state.v_flat))
+            return state
+
+        class WatchedMean(TR._RunningMean):
+            def __init__(self, like, first):
+                seen.append(([ref() is None for ref in moments],
+                             sorted(p.name for p in tmp_path.iterdir())))
+                super().__init__(like, first)
+
+        monkeypatch.setattr(TR.AdamState, "init", init)
+        monkeypatch.setattr(TR, "_RunningMean", WatchedMean)
+        head_cfg = tiny_cfg()
+        params = M.init_head(head_cfg, np.random.default_rng(99))
+        data = generate(4, SyntheticGen(seed=1, n_patches=16, c_in=32))
+        train(head_cfg, params, data, TrainConfig(epochs=1, batch_size=4, warmup_steps=10),
+              checkpoint_dir=str(tmp_path))
+        assert seen == [([True, True], ["epoch_0000.ckpt"])]
+
     def test_result_is_new_tensors_with_flags_and_no_gradients(self):
         heads = self._heads(2)
         for _, t in heads[0].named_parameters():
@@ -785,8 +811,9 @@ class TestTapeLiveness:
 
     @staticmethod
     def step_tape(dropout=0.0):
-        """The tape of one training step at the tiny profile's shapes (batch
-        16, every patch kept), after backward."""
+        """The entries of the tape of one training step at the tiny profile's
+        shapes (batch 16, every patch kept), snapshot before backward (which
+        empties the tape) and kept alive through it."""
         head_cfg = tiny_cfg(d=32, dropout=dropout)
         params = M.init_head(head_cfg, np.random.default_rng(0))
         features, targets = TR.stack_samples(
@@ -794,8 +821,10 @@ class TestTapeLiveness:
         with Tape() as tape:
             out = M.forward(head_cfg, params, features, training=True,
                             rng=np.random.default_rng(2))
-            backward(loss(out, targets), tape)
-        return tape
+            total = loss(out, targets)
+            entries = list(tape.entries)
+            backward(total, tape)
+        return entries
 
     @staticmethod
     def held(entry):
@@ -808,12 +837,12 @@ class TestTapeLiveness:
         return items
 
     def test_entries_hold_no_intermediate_tensor(self):
-        tape = self.step_tape(dropout=0.1)
-        for entry in tape.entries:
+        entries = self.step_tape(dropout=0.1)
+        for entry in entries:
             for item in self.held(entry):
                 if isinstance(item, Tensor):
                     assert item.requires_grad and item._tape is None, entry.backward_fn
-        refs = [r for e in tape.entries for r in e.inputs]
+        refs = [r for e in entries for r in e.inputs]
         assert any(type(r) is int for r in refs) and any(r is None for r in refs)
 
     def test_tiny_tape_array_bytes_are_pinned(self):
@@ -821,7 +850,7 @@ class TestTapeLiveness:
         # buffers that backward_fn closures hold (the parameters included)
         for dropout, pinned in PINNED_TAPE_BYTES.items():
             bases = {}
-            for entry in self.step_tape(dropout).entries:
+            for entry in self.step_tape(dropout):
                 for item in self.held(entry):
                     if isinstance(item, np.ndarray):
                         while isinstance(item.base, np.ndarray):
@@ -835,7 +864,7 @@ class TestTapeLiveness:
         float array a relu holds is its output, which the next entry (the
         following linear's matmul) holds too, so it costs nothing extra."""
         kinds = Counter()
-        entries = self.step_tape(dropout=0.1).entries
+        entries = self.step_tape(dropout=0.1)
         for i, entry in enumerate(entries):
             kind = entry.backward_fn.__qualname__.split(".")[0]
             if kind in ("dropout", "relu"):
