@@ -93,13 +93,9 @@ def rebuild(node, leaf):
     return node
 
 
-# Xavier draws from which fill_uniform cuts its jobs into parts for the pool.
-# On 2 CPUs, whole init_head calls split against one part (medians of
-# alternating calls): 0.63M draws 6.08 against 5.91 ms, 1.26M draws 6.30
-# against 8.58 ms, paper's 28.6M draws 125 against 208 ms.
-SPLIT_DRAWS = 1 << 20
-# parts are handed out one at a time, so a thread that gets no CPU for a
-# while takes fewer; at paper size 2-16 parts timed alike, 32 or more slower
+# fill_uniform's parts are handed out one at a time, so a thread that gets
+# no CPU for a while takes fewer; at paper size 2-16 parts timed alike, 32
+# or more slower
 SPLIT_PARTS = 16
 # bit generators whose advance(k) skips exactly the k 64-bit outputs that k
 # float64 uniform draws take; Philox.advance counts 4-output counter blocks
@@ -117,18 +113,19 @@ def fill_uniform(rng: np.random.Generator, jobs) -> None:
     """view[...] = rng.uniform(-a, a, size=view.shape) for each (view, a) of
     jobs, in order: the values and rng's final state are those of that loop.
 
-    With at least SPLIT_DRAWS draws and a PCG64 or PCG64DXSM bit generator,
-    the jobs are cut at job boundaries into parts that workers.over_chunks
-    fills, on the pool given more than one usable CPU. A uniform draw takes
-    one 64-bit output, so a part's first draw is the one at its offset: each
-    part draws from a copy of rng's bit generator advanced by that offset,
-    and rng's is advanced by the total. advance() clears the buffered
-    32-bit half of a PCG64, so that is put back. Any other bit generator,
-    or fewer draws, runs the loop on the caller.
+    If the views' bytes are pooled (workers.POOL_BYTES) and the bit
+    generator is a PCG64 or PCG64DXSM, the jobs are cut at job boundaries
+    into parts that workers.over_chunks fills on the pool. A uniform draw
+    takes one 64-bit output, so a part's first draw is the one at its
+    offset: each part draws from a copy of rng's bit generator advanced by
+    that offset, and rng's is advanced by the total. advance() clears the
+    buffered 32-bit half of a PCG64, so that is put back. Otherwise the
+    loop runs on the caller.
     """
     bg = rng.bit_generator
     total = sum(view.size for view, _ in jobs)
-    if total < SPLIT_DRAWS or type(bg) not in _ADVANCE_PER_DRAW:
+    nbytes = sum(view.nbytes for view, _ in jobs)
+    if not W.pooled(nbytes) or type(bg) not in _ADVANCE_PER_DRAW:
         for view, a in jobs:
             view[...] = rng.uniform(-a, a, size=view.shape)
         return
@@ -149,7 +146,7 @@ def fill_uniform(rng: np.random.Generator, jobs) -> None:
             for view, a in part:
                 view[...] = g.uniform(-a, a, size=view.shape)
 
-    W.over_chunks(fill, len(parts))
+    W.over_chunks(fill, len(parts), nbytes)
     after = bg.advance(total).state
     bg.state = {**after, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
 

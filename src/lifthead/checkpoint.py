@@ -5,9 +5,9 @@ tensor count, then per tensor: u16 name length, UTF-8 name, u8 rank, one u64
 per dimension, u8 dtype code (0 = float32, 1 = float64), raw element bytes in
 row-major order. The file ends with the CRC32 (u32) of every preceding byte.
 The CRC is validated before any parsing, so truncation or corruption anywhere
-surfaces as a checksum error rather than a garbled read. For a large file
-the CRC is computed beside the write, or beside a read in slices
-(workers.run_all: on a pool thread given more than one usable CPU).
+surfaces as a checksum error rather than a garbled read. The CRC is
+computed beside the write, or beside a read in slices (workers.run_all: on
+a pool thread if that work is pooled, see workers.POOL_BYTES).
 
 Version 2 names the fused attention projections (``blocks.0.mha_2d.q.weight``
 where version 1 had ``blocks.0.mha_2d.heads.0.q.weight``); version 1 files
@@ -35,20 +35,7 @@ VERSION = 2
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-# array bytes from which write_tensors computes the CRC32 on a pool thread.
-# Below it the hand-off costs more than the overlap saves: on 2 CPUs a
-# 521 KB tiny-profile epoch checkpoint took 3.06 ms with the worker against
-# 2.03 ms inline, and 1 MB took 9% longer (medians of alternating writes).
-# Written on their own, 2-115 MB payloads timed within noise either way;
-# in paper train() calls, traced saves went 453 -> 317 ms per call.
-CRC_WORKER_BYTES = 1 << 22
-# file bytes from which read_tensors computes the CRC32 on a pool thread while
-# it reads. Read gates differ from write gates: on 2 CPUs (medians of
-# alternating reads) the worker took 2.96 against 2.68 ms inline at 4 MB,
-# 11.6 against 11.0 ms at 16 MB, 20.5 against 21.2 ms at 32 MB, and 62-66
-# against 81-150 ms at 115 MB (a paper averaged.ckpt).
-READ_WORKER_BYTES = 1 << 25
-# bytes per read on that path; 1-4 MiB timed within noise at 115 MB
+# bytes per read in _read_with_crc; 1-4 MiB timed within noise at 115 MB
 READ_SLICE = 1 << 21
 
 
@@ -71,9 +58,9 @@ def write_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
     buffers are then written straight to ``<path>.tmp``, without joining
     them in memory, and the file is renamed to ``path``; on any failure the
     temporary file is removed. Their CRC32 is computed from the same
-    buffers: for a payload of at least CRC_WORKER_BYTES, on a pool thread
-    (workers.run_all) while the caller writes, and joined before the
-    trailer is written or the failure is raised.
+    buffers: on a pool thread while the caller writes if the payload is
+    pooled (workers.run_all), and finished before the trailer is written
+    or the failure is raised.
     """
     bufs = [MAGIC + struct.pack("<II", VERSION, len(tensors))]
     size = 0
@@ -103,11 +90,7 @@ def write_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
                 for buf in bufs:
                     f.write(buf)
 
-            if size >= CRC_WORKER_BYTES:
-                _, crc = W.run_all([write, checksum])
-            else:
-                write()
-                crc = checksum()
+            _, crc = W.run_all([write, checksum], size)
             f.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
@@ -119,19 +102,16 @@ def write_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
 def _read_with_crc(path) -> tuple[memoryview, int]:
     """The file's bytes, read-only, and the CRC32 of all but the last 4.
 
-    A file of at least READ_WORKER_BYTES is read into one buffer of the
-    size fstat gives, READ_SLICE bytes at a time, while a pool thread
-    chains the CRC32 over each slice as it lands (workers.run_all; with one
-    CPU the reader runs first and queues every slice, the queue being
-    unbounded). The reader hands the thread its end-of-file marker even
-    when a read fails, so the thread never waits on a slice that will not
-    come; a file that ends before that size is a ChecksumError.
+    The file is read into one buffer of the size fstat gives, READ_SLICE
+    bytes at a time, while the CRC32 is chained over each slice as it
+    lands (workers.run_all: on a pool thread if the file is pooled, else
+    after the reader has queued every slice, the queue being unbounded).
+    The reader hands the CRC32 its end-of-file marker even when a read
+    fails, so it never waits on a slice that will not come; a file that
+    ends before that size is a ChecksumError.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        if size < READ_WORKER_BYTES:
-            raw = memoryview(f.read())
-            return raw, zlib.crc32(raw[:-4])
         buf = np.empty(size, np.uint8)
         view = memoryview(buf)
         slices: queue.SimpleQueue = queue.SimpleQueue()
@@ -154,7 +134,7 @@ def _read_with_crc(path) -> tuple[memoryview, int]:
                 crc = zlib.crc32(piece, crc)
             return crc
 
-        _, crc = W.run_all([read, checksum])
+        _, crc = W.run_all([read, checksum], size)
     buf.flags.writeable = False
     return memoryview(buf), crc
 
@@ -164,8 +144,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
 
     The arrays are read-only views of the one buffer the file was read
     into; copy one to keep it apart from the others or to write to it.
-    The file's CRC32 is checked before any header is parsed; a large file
-    has it computed while the file is read in (_read_with_crc).
+    The file's CRC32 is checked before any header is parsed; it is
+    computed as the file is read in (_read_with_crc).
     """
     raw, crc = _read_with_crc(path)
     if len(raw) < len(MAGIC) + 12:

@@ -190,13 +190,14 @@ def _generator(cfg: dict[str, object], seed: int) -> S.SyntheticGen:
 
 
 def cmd_train(cfg: dict[str, object]) -> int:
-    hc = head_config(cfg)
+    hc = head_config(cfg)  # every check precedes epochs 0 and any new path
     tc = train_config(cfg)
-    if cfg["epochs"] == 0:
-        return 0
+    TR.min_keep_patches(hc.n_patches, tc)
     if cfg["n_samples"] < 1:
         raise ConfigError(f"n_samples must be >= 1, got {cfg['n_samples']}")
-    gen = _generator(cfg, cfg["data_seed"])  # validates before any path is made
+    gen = _generator(cfg, cfg["data_seed"])
+    if tc.epochs == 0:
+        return 0
     out_dir = str(cfg["out_dir"])
     metrics_file = str(cfg["metrics_file"])
     os.makedirs(out_dir, exist_ok=True)

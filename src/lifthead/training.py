@@ -170,15 +170,15 @@ def adam_step(named_params: Iterable[tuple[str, Tensor]], state: AdamState,
     TrainingAborted before any parameter, moment or the step count changes.
 
     The update runs chunk by chunk over the arena, in two passes that hand
-    the chunks out to up to one thread per usable CPU (workers.over_chunks;
-    an arena of one chunk runs on the caller alone). The first pass checks
-    that every gradient is finite, and has finished on every thread before
-    the second one updates anything. A chunk's gradient is a view of one
-    parameter's gradient where the chunk lies within it, and is otherwise
-    gathered into the thread's own buffer with one np.concatenate. Every
-    element goes through the same operations in the same order whichever
-    thread takes its chunk, so the result is bit-identical to a
-    single-threaded update.
+    the chunks out to up to one thread per usable CPU if the arena's bytes
+    are pooled (workers.over_chunks, workers.POOL_BYTES). The first pass
+    checks that every gradient is finite, and has finished on every thread
+    before the second one updates anything. A chunk's gradient is a view
+    of one parameter's gradient where the chunk lies within it, and is
+    otherwise gathered into the thread's own buffer with one
+    np.concatenate. Every element goes through the same operations in the
+    same order whichever thread takes its chunk, so the result is
+    bit-identical to a single-threaded update.
     """
     params = list(named_params)
     if len(params) != len(state.names):
@@ -213,7 +213,7 @@ def adam_step(named_params: Iterable[tuple[str, Tensor]], state: AdamState,
         buf = scratch()
         return all(np.isfinite(gather(k, buf)).all() for k in chunks)
 
-    if not all(W.over_chunks(finite, n_chunks)):
+    if not all(W.over_chunks(finite, n_chunks, state.arena.nbytes)):
         bad = next(name for name, t in params if not np.isfinite(t.grad).all())
         raise TrainingAborted(state.step + 1, lr, parameter=bad)
     state.step += 1
@@ -246,9 +246,17 @@ def adam_step(named_params: Iterable[tuple[str, Tensor]], state: AdamState,
             t1 /= t2
             p -= t1
 
-    W.over_chunks(update, n_chunks)
+    W.over_chunks(update, n_chunks, state.arena.nbytes)
     for _, t in params:
         t.grad = None
+
+
+def min_keep_patches(n_patches: int, cfg: TrainConfig) -> int:
+    """cfg.min_keep_patches (None: n_patches // 4, at least 1), in [1, n_patches]."""
+    k = max(1, n_patches // 4) if cfg.min_keep_patches is None else cfg.min_keep_patches
+    if not 1 <= k <= n_patches:
+        raise ValueError(f"min_keep_patches must be in [1, {n_patches}], got {k}")
+    return k
 
 
 def sample_patch_subset(n_patches: int, cfg: TrainConfig,
@@ -259,13 +267,7 @@ def sample_patch_subset(n_patches: int, cfg: TrainConfig,
     inclusive; the indices are then drawn uniformly without replacement. Eval
     never calls this: inference always uses every patch.
     """
-    min_keep = cfg.min_keep_patches
-    if min_keep is None:
-        min_keep = max(1, n_patches // 4)
-    if not 1 <= min_keep <= n_patches:
-        raise ValueError(
-            f"min_keep_patches must be in [1, {n_patches}], got {min_keep}")
-    k = int(rng.integers(min_keep, n_patches + 1))
+    k = int(rng.integers(min_keep_patches(n_patches, cfg), n_patches + 1))
     return sorted(int(i) for i in rng.choice(n_patches, size=k, replace=False))
 
 

@@ -242,6 +242,16 @@ class TestFailedWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
 
 
+def record_pooled(monkeypatch):
+    """Patch workers.run_all to append whether each call's work is pooled
+    to the list it returns."""
+    pooled = []
+    run_all = W.run_all
+    monkeypatch.setattr(W, "run_all", lambda fns, nbytes: pooled.append(W.pooled(nbytes))
+                        or run_all(fns, nbytes))
+    return pooled
+
+
 def usable_cpus(monkeypatch, cpus):
     """Patch workers.CPUS; with one CPU, yield and check no pool was started."""
     monkeypatch.setattr(W, "CPUS", cpus)
@@ -253,7 +263,7 @@ def usable_cpus(monkeypatch, cpus):
 
 
 class TestCrcWorker:
-    """A payload of CRC_WORKER_BYTES or more has its CRC32 computed on a
+    """A payload of workers.POOL_BYTES or more has its CRC32 computed on a
     pool thread while the caller writes the file."""
 
     CPUS = 2
@@ -264,22 +274,19 @@ class TestCrcWorker:
 
     def _large(self):
         rng = np.random.default_rng(0)
-        n = C.CRC_WORKER_BYTES // 8
+        n = W.POOL_BYTES // 8
         return {"a": rng.standard_normal(n).astype(np.float32),
                 "b.c": rng.standard_normal((3, 5)),
                 "d": rng.standard_normal(n + 1).astype(np.float32)}
 
     def test_worker_path_writes_the_inline_bytes(self, tmp_path, monkeypatch):
         tensors = self._large()
-        assert sum(a.nbytes for a in tensors.values()) >= C.CRC_WORKER_BYTES
-        calls = []
-        run_all = W.run_all
-        monkeypatch.setattr(W, "run_all", lambda fns: calls.append(fns) or run_all(fns))
+        assert sum(a.nbytes for a in tensors.values()) >= W.POOL_BYTES
+        pooled = record_pooled(monkeypatch)
         write_tensors(tmp_path / "worker.ckpt", tensors)
-        assert len(calls) == 1
-        monkeypatch.setattr(C, "CRC_WORKER_BYTES", 1 << 62)
+        monkeypatch.setattr(W, "POOL_BYTES", 1 << 62)
         write_tensors(tmp_path / "inline.ckpt", tensors)
-        assert len(calls) == 1
+        assert pooled == [self.CPUS > 1, False]
         raw = (tmp_path / "worker.ckpt").read_bytes()
         assert raw == (tmp_path / "inline.ckpt").read_bytes()
         assert struct.unpack("<I", raw[-4:])[0] == zlib.crc32(raw[:-4])
@@ -359,15 +366,14 @@ def finishes(fn, timeout=30.0):
 
 
 class TestCrcWorkerRead:
-    """A file of READ_WORKER_BYTES or more is read in READ_SLICE slices while
-    a pool thread computes the CRC32 of each slice as it lands."""
+    """A file of workers.POOL_BYTES or more is read in READ_SLICE slices
+    while a pool thread computes the CRC32 of each slice as it lands."""
 
     SLICE = 1 << 20
     CPUS = 2
 
     @pytest.fixture(autouse=True)
-    def cpus_small_gate_and_slices(self, monkeypatch):
-        monkeypatch.setattr(C, "READ_WORKER_BYTES", 1 << 22)
+    def cpus_and_slices(self, monkeypatch):
         monkeypatch.setattr(C, "READ_SLICE", self.SLICE)
         yield from usable_cpus(monkeypatch, self.CPUS)
 
@@ -379,19 +385,16 @@ class TestCrcWorkerRead:
         write_tensors(path, {"a": rng.standard_normal(n).astype(np.float32),
                              "b.c": rng.standard_normal((3, 5)),
                              "d": rng.standard_normal(n + 7)})  # starts the pool
-        assert path.stat().st_size > max(4 * self.SLICE, C.READ_WORKER_BYTES)
+        assert path.stat().st_size > max(4 * self.SLICE, W.POOL_BYTES)
         return path
 
     def test_arrays_equal_the_inline_read_as_read_only_views_of_one_buffer(
             self, path, monkeypatch):
-        calls = []
-        run_all = W.run_all
-        monkeypatch.setattr(W, "run_all", lambda fns: calls.append(fns) or run_all(fns))
+        pooled = record_pooled(monkeypatch)
         worker = read_tensors(path)
-        assert len(calls) == 1
-        monkeypatch.setattr(C, "READ_WORKER_BYTES", 1 << 62)
+        monkeypatch.setattr(W, "POOL_BYTES", 1 << 62)
         inline = read_tensors(path)
-        assert len(calls) == 1
+        assert pooled == [self.CPUS > 1, False]
         assert list(worker) == list(inline)
         for name, arr in worker.items():
             assert arr.dtype == inline[name].dtype and arr.shape == inline[name].shape
@@ -473,6 +476,49 @@ class TestCrcWorkerReadOneCpu(TestCrcWorkerRead):
     CPUS = 1
 
 
+class TestPoolGate:
+    """With two usable CPUs, a checkpoint just under workers.POOL_BYTES is
+    written and read on the caller alone, starting no pool, and one at the
+    gate has its CRC32 computed on a pool thread both ways."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus_no_pool(self, monkeypatch):
+        monkeypatch.setattr(W, "CPUS", 2)
+        monkeypatch.setattr(W, "_pool", None)
+        yield
+        if W._pool is not None:
+            W._pool.shutdown(wait=True)
+
+    @staticmethod
+    def crc_threads(monkeypatch):
+        threads = []
+        crc32 = zlib.crc32
+        monkeypatch.setattr(C.zlib, "crc32", lambda buf, value=0: threads.append(
+            threading.get_ident()) or crc32(buf, value))
+        return threads
+
+    def round_trip(self, path, payload, monkeypatch):
+        tensors = {"a": np.arange(payload // 4, dtype=np.float32)}
+        threads = self.crc_threads(monkeypatch)
+        write_tensors(path, tensors)
+        wrote = set(threads)
+        threads.clear()
+        np.testing.assert_array_equal(read_tensors(path)["a"], tensors["a"])
+        return wrote, set(threads)
+
+    def test_just_under_the_gate_starts_no_pool(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.ckpt"
+        me = {threading.get_ident()}
+        assert self.round_trip(path, W.POOL_BYTES - 64, monkeypatch) == (me, me)
+        assert path.stat().st_size < W.POOL_BYTES
+        assert W._pool is None
+
+    def test_at_the_gate_uses_the_pool(self, tmp_path, monkeypatch):
+        wrote, read = self.round_trip(tmp_path / "t.ckpt", W.POOL_BYTES, monkeypatch)
+        assert W._pool is not None
+        assert threading.get_ident() not in wrote | read and len(wrote) == len(read) == 1
+
+
 class TestCorruption:
     def _write(self, tmp_path):
         path = tmp_path / "t.ckpt"
@@ -485,6 +531,19 @@ class TestCorruption:
         raw = path.read_bytes()
         path.write_bytes(raw[:keep] if keep > 0 else raw[:-1])
         with pytest.raises(ChecksumError):
+            read_tensors(path)
+
+    def test_small_file_truncated_after_stat_is_checksum_error(self, tmp_path, monkeypatch):
+        path = self._write(tmp_path)
+        fstat = os.fstat
+
+        def fstat_then_truncate(fd):
+            st = fstat(fd)
+            os.truncate(path, st.st_size - 5)
+            return st
+
+        monkeypatch.setattr(C.os, "fstat", fstat_then_truncate)
+        with pytest.raises(ChecksumError, match="ended at byte"):
             read_tensors(path)
 
     def test_flipped_byte_is_checksum_error(self, tmp_path):

@@ -294,11 +294,21 @@ class TestConfigErrors:
         assert "finite" in err
 
     def test_rejected_data_setting_creates_no_path(self, capsys, tmp_path):
-        code, _, err = run_cli(["train", *MICRO, "--noise-sigma=-1",
-                                "--out", str(tmp_path / "run")], capsys)
-        assert code == 1
-        assert err.startswith("config error: noise_sigma must be "), err
-        assert list(tmp_path.iterdir()) == []
+        # each is checked before the data is generated or any path is made,
+        # and also with --epochs 0, which makes nothing; min_keep_patches by
+        # the rule sample_patch_subset applies
+        for setting, message in [
+                (["--noise-sigma=-1"], "noise_sigma must be "),
+                (["--epochs", "0", "--noise-sigma=-1"], "noise_sigma must be "),
+                (["--epochs", "0", "--n-samples", "0"], "n_samples must be >= 1"),
+                (["--min-keep-patches", "99"], "min_keep_patches must be in [1, 16], got 99"),
+                (["--epochs", "0", "--min-keep-patches", "0"], "min_keep_patches must be in "),
+        ]:
+            code, _, err = run_cli(["train", *MICRO, *setting,
+                                    "--out", str(tmp_path / "run")], capsys)
+            assert code == 1, setting
+            assert err.startswith("config error: " + message), err
+            assert list(tmp_path.iterdir()) == []
 
     def test_invalid_log_level(self, capsys, monkeypatch):
         monkeypatch.setenv("LIFT_LOG_LEVEL", "chatty")

@@ -901,14 +901,15 @@ class TestSplitDraws:
 
     @staticmethod
     def split_forced(mp, parts, cpus):
-        """Patch the gate down so any draw count splits; returns the list
-        that each over_chunks call appends its part count to."""
-        mp.setattr(B, "SPLIT_DRAWS", 0)
+        """Patch the pool gate down so any draw count splits; returns the
+        list that each over_chunks call appends its part count to."""
+        mp.setattr(W, "POOL_BYTES", 0)
         mp.setattr(B, "SPLIT_PARTS", parts)
         mp.setattr(W, "CPUS", cpus)
         splits = []
         over_chunks = W.over_chunks
-        mp.setattr(W, "over_chunks", lambda fn, n: splits.append(n) or over_chunks(fn, n))
+        mp.setattr(W, "over_chunks",
+                   lambda fn, n, nbytes: splits.append(n) or over_chunks(fn, n, nbytes))
         return splits
 
     @settings(max_examples=60, deadline=None)

@@ -175,11 +175,13 @@ def with_workers_and_dtypes(name, values):
 class TestFlatAdam:
     # 777 splits parameters across chunks, which workers may take apart;
     # 16 puts most chunks inside one parameter; 3 workers are more than
-    # most hosts' cores
+    # most hosts' cores. The pool gate is patched down so that a tiny
+    # arena is split across them.
     @with_workers_and_dtypes("chunk", [TR.ADAM_CHUNK, 777, 16])
     def test_bit_identical_to_per_tensor_loop(self, monkeypatch, chunk, workers, dtype):
         monkeypatch.setattr(TR, "ADAM_CHUNK", chunk)
         monkeypatch.setattr(W, "CPUS", workers)
+        monkeypatch.setattr(W, "POOL_BYTES", 0)
         params = M.init_head(tiny_cfg(), np.random.default_rng(0), dtype=dtype)
         data = {n: t.data.copy() for n, t in params.named_parameters()}
         m = {n: np.zeros_like(a) for n, a in data.items()}
@@ -204,6 +206,7 @@ class TestFlatAdam:
     def test_non_finite_gradient_touches_nothing(self, monkeypatch, bad, workers, dtype):
         monkeypatch.setattr(TR, "ADAM_CHUNK", 1000)
         monkeypatch.setattr(W, "CPUS", workers)
+        monkeypatch.setattr(W, "POOL_BYTES", 0)
         params = M.init_head(tiny_cfg(), np.random.default_rng(0), dtype=dtype)
         state = AdamState.init(params)
         rng = np.random.default_rng(2)
@@ -225,6 +228,7 @@ class TestFlatAdam:
     def test_first_non_finite_parameter_is_named(self, monkeypatch):
         monkeypatch.setattr(TR, "ADAM_CHUNK", 1000)
         monkeypatch.setattr(W, "CPUS", 3)
+        monkeypatch.setattr(W, "POOL_BYTES", 0)
         params = M.init_head(tiny_cfg(), np.random.default_rng(0))
         state = AdamState.init(params)
         set_grads(params, random_grads(params, np.random.default_rng(2)))
@@ -234,6 +238,25 @@ class TestFlatAdam:
         named["proj_beta.bias"].grad[0] = np.inf
         with pytest.raises(TrainingAborted, match=f"parameter {target}"):
             adam_step(params.named_parameters(), state, 1e-3)
+
+    def test_arena_under_the_pool_gate_runs_on_the_caller(self, monkeypatch):
+        # 1 MiB is 4 chunks: with two CPUs the update starts no pool, and
+        # its bytes are those of a one-CPU update
+        snapshots = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(W, "CPUS", cpus)
+            monkeypatch.setattr(W, "_pool", None)
+            rng = np.random.default_rng(0)
+            t = Tensor(rng.standard_normal(1 << 18).astype(np.float32), requires_grad=True)
+            state = AdamState.init([("w", t)])
+            assert len(state.chunks) == 4 and state.arena.nbytes < W.POOL_BYTES
+            for _ in range(3):
+                t.grad = rng.standard_normal(t.shape).astype(np.float32)
+                adam_step([("w", t)], state, 1e-3)
+            assert W._pool is None
+            snapshots.append(flat_snapshot(state))
+        for one, two in zip(*snapshots):
+            assert one.tobytes() == two.tobytes()
 
     def test_rebound_parameter_is_named(self):
         params = M.init_head(tiny_cfg(), np.random.default_rng(0))
@@ -706,22 +729,23 @@ class TestTrainLoop:
         assert all(len(line.split("\t")) == 5 for line in lines)
 
     def test_tiny_profile_starts_no_thread(self, tmp_path, monkeypatch):
-        # one Adam chunk and checkpoints under CRC_WORKER_BYTES: everything
-        # runs on the caller, and the worker pool is never created
-        import lifthead.checkpoint as C
+        # an Adam arena, Xavier draws and checkpoints under POOL_BYTES:
+        # with two CPUs everything runs on the caller, and the worker pool
+        # is never created
         from lifthead.cli import PROFILES
+        monkeypatch.setattr(W, "CPUS", 2)
         monkeypatch.setattr(W, "_pool", None)
         threads = threading.active_count()
         tiny = PROFILES["tiny"]
         head_cfg = HeadConfig(**{k: v for k, v in tiny.items()
                                  if k in HeadConfig.__dataclass_fields__})
         params = M.init_head(head_cfg, np.random.default_rng(0))
-        assert params.parameter_count() <= TR.ADAM_CHUNK
+        assert params.parameter_count() * np.dtype(T.DEFAULT_DTYPE).itemsize < W.POOL_BYTES
         data = generate(tiny["n_samples"], SyntheticGen(
             seed=1, n_patches=head_cfg.n_patches, c_in=head_cfg.c_in))
         train(head_cfg, params, data, TrainConfig(epochs=2, batch_size=16),
               checkpoint_dir=str(tmp_path))
-        assert max(p.stat().st_size for p in tmp_path.iterdir()) < C.CRC_WORKER_BYTES
+        assert max(p.stat().st_size for p in tmp_path.iterdir()) < W.POOL_BYTES
         assert W._pool is None
         assert threading.active_count() == threads
 
