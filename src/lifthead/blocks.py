@@ -168,8 +168,6 @@ def init_mha(d: int, h: int, jobs: list, scale_dim: int | None = None,
     v of head 0, then of head 1, ...), each d -> d/h into head i's columns
     of the fused projections, then the output projection's, appended to
     jobs in that order."""
-    if d % h != 0:
-        raise ShapeError(f"width {d} not divisible by {h} heads")
     dh = d // h
     a = _xavier_bound(d, dh)
     weights = [np.empty((d, d), dtype=dtype) for _ in range(3)]

@@ -3,11 +3,13 @@
 Commands: train, eval, gradcheck, params, schedule. Settings resolve in
 layers (built-in defaults, then --profile, then --config file, then flags)
 and the fully resolved configuration is echoed to stdout before anything
-runs. Stdout stays tab-separated key/value (or column) lines; free-form
-diagnostics go to stderr. Exit codes: 0 success, 1 configuration or
-checkpoint error or a degenerate eval output (a twist projection of
-near-zero length, reported as "degenerate output: ..."), 2 non-finite
-training loss or gradient, 3 gradient check failure.
+runs. `build` then checks every setting, alike for every command and before
+any work: a configuration is valid for every command or for none. Stdout
+stays tab-separated key/value (or column) lines; free-form diagnostics go
+to stderr. Exit codes: 0 success, 1 configuration or checkpoint error or a
+degenerate eval output (a twist projection of near-zero length, reported
+as "degenerate output: ..."), 2 non-finite training loss or gradient, 3
+gradient check failure.
 """
 
 from __future__ import annotations
@@ -184,18 +186,20 @@ def train_config(cfg: dict[str, object]) -> TR.TrainConfig:
     return _from_cfg(TR.TrainConfig, cfg)
 
 
-def _generator(cfg: dict[str, object], seed: int) -> S.SyntheticGen:
-    return S.SyntheticGen(seed=seed, n_patches=cfg["n_patches"],
-                          c_in=cfg["c_in"], noise_sigma=cfg["noise_sigma"])
-
-
-def cmd_train(cfg: dict[str, object]) -> int:
-    hc = head_config(cfg)  # every check precedes epochs 0 and any new path
-    tc = train_config(cfg)
+def build(cfg: dict[str, object]) -> tuple[M.HeadConfig, TR.TrainConfig, S.SyntheticGen]:
+    """Every command's settings objects. Each checks its own fields; here
+    fields are checked against each other and the data fields their bounds."""
+    hc, tc = head_config(cfg), train_config(cfg)
     TR.min_keep_patches(hc.n_patches, tc)
-    if cfg["n_samples"] < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {cfg['n_samples']}")
-    gen = _generator(cfg, cfg["data_seed"])
+    for name, low in (("n_samples", 1), ("eval_samples", 1), ("data_seed", 0)):
+        if cfg[name] < low:
+            raise ConfigError(f"{name} must be >= {low}, got {cfg[name]}")
+    return hc, tc, S.SyntheticGen(seed=cfg["data_seed"], n_patches=hc.n_patches,
+                                  c_in=hc.c_in, noise_sigma=cfg["noise_sigma"])
+
+
+def cmd_train(cfg: dict[str, object], hc: M.HeadConfig, tc: TR.TrainConfig,
+              gen: S.SyntheticGen) -> int:
     if tc.epochs == 0:
         return 0
     out_dir = str(cfg["out_dir"])
@@ -204,7 +208,7 @@ def cmd_train(cfg: dict[str, object]) -> int:
     os.makedirs(os.path.dirname(os.path.abspath(metrics_file)), exist_ok=True)
 
     dataset = S.generate(cfg["n_samples"], gen)
-    params = M.init_head(hc, np.random.default_rng(cfg["seed"]))
+    params = M.init_head(hc, np.random.default_rng(tc.seed))
     log.info("training: %d samples, %d epochs, batch %d",
              len(dataset), tc.epochs, tc.batch_size)
     result = TR.train(hc, params, dataset, tc,
@@ -219,16 +223,13 @@ def cmd_train(cfg: dict[str, object]) -> int:
     return 0
 
 
-def cmd_eval(cfg: dict[str, object]) -> int:
+def cmd_eval(cfg: dict[str, object], hc: M.HeadConfig, gen: S.SyntheticGen) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("checkpoint must be set for eval")
-    if cfg["eval_samples"] < 1:
-        raise ConfigError(f"eval_samples must be >= 1, got {cfg['eval_samples']}")
-    hc = head_config(cfg)
-    gen = _generator(cfg, cfg["data_seed"] + HELDOUT_SEED_OFFSET)
     params = M.allocate_head(hc, [])  # every value comes from the checkpoint
     ckpt.load_checkpoint(str(cfg["checkpoint"]), params)
-    dataset = S.generate(cfg["eval_samples"], gen)
+    dataset = S.generate(cfg["eval_samples"],
+                         dataclasses.replace(gen, seed=gen.seed + HELDOUT_SEED_OFFSET))
     log.info("evaluating %s on %d held-out samples",
              cfg["checkpoint"], len(dataset))
     metrics = TR.evaluate(hc, params, dataset)
@@ -237,10 +238,10 @@ def cmd_eval(cfg: dict[str, object]) -> int:
     return 0
 
 
-def cmd_gradcheck(cfg: dict[str, object], inject_fault: Optional[str]) -> int:
-    results = G.run_primitive_suite(seed=cfg["seed"], inject_fault=inject_fault)
+def cmd_gradcheck(seed: int) -> int:
+    results = G.run_primitive_suite(seed=seed)
     for name, batch in (("composed_head", None), ("composed_head_batch3", 3)):
-        err = G.composed_head_check(seed=cfg["seed"], batch=batch)
+        err = G.composed_head_check(seed=seed, batch=batch)
         results.append((name, err, err < G.COMPOSED_TOLERANCE))
     failed = []
     for name, err, ok in results:
@@ -253,14 +254,12 @@ def cmd_gradcheck(cfg: dict[str, object], inject_fault: Optional[str]) -> int:
     return 0
 
 
-def cmd_params(cfg: dict[str, object]) -> int:
-    report = efficiency_report(head_config(cfg), DeconvConfig())
-    sys.stdout.write(report.to_text())
+def cmd_params(hc: M.HeadConfig) -> int:
+    sys.stdout.write(efficiency_report(hc, DeconvConfig()).to_text())
     return 0
 
 
-def cmd_schedule(cfg: dict[str, object], steps: Optional[str]) -> int:
-    tc = train_config(cfg)
+def cmd_schedule(tc: TR.TrainConfig, steps: Optional[str]) -> int:
     n = _convert("steps", "int", steps) if steps is not None else tc.warmup_steps
     if n < 1:
         raise ConfigError(f"steps must be >= 1, got {n}")
@@ -292,9 +291,8 @@ def build_parser() -> _Parser:
                    help="fit the head on synthetic data, write checkpoints")
     sub.add_parser("eval", parents=[common],
                    help="score a checkpoint on a held-out synthetic split")
-    p = sub.add_parser("gradcheck", parents=[common],
-                       help="finite-difference check of every primitive")
-    p.add_argument("--inject-fault", metavar="NAME", help=argparse.SUPPRESS)
+    sub.add_parser("gradcheck", parents=[common],
+                   help="finite-difference check of every primitive")
     sub.add_parser("params", parents=[common],
                    help="parameter/FLOP report vs a deconvolution baseline")
     p = sub.add_parser("schedule", parents=[common],
@@ -321,15 +319,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         echo_config(cfg, args)
+        hc, tc, gen = build(cfg)
         if args.command == "train":
-            return cmd_train(cfg)
+            return cmd_train(cfg, hc, tc, gen)
         if args.command == "eval":
-            return cmd_eval(cfg)
+            return cmd_eval(cfg, hc, gen)
         if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, args.inject_fault)
+            return cmd_gradcheck(tc.seed)
         if args.command == "params":
-            return cmd_params(cfg)
-        return cmd_schedule(cfg, args.steps)
+            return cmd_params(hc)
+        return cmd_schedule(tc, args.steps)
     except M.NormalizationDegenerateError as e:
         print(f"degenerate output: {e}", file=sys.stderr)
         return 1

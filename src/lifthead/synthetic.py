@@ -41,6 +41,8 @@ class SyntheticGen:
     noise_sigma: float = 0.01
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_patches < 1 or self.c_in < 1:
             raise ValueError("n_patches and c_in must be positive")
         if not 0 <= self.noise_sigma < math.inf:

@@ -73,6 +73,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.avg_last_epochs < 1:
             raise ValueError(f"avg_last_epochs must be >= 1, got {self.avg_last_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:

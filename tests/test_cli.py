@@ -1,17 +1,23 @@
 """CLI behavior: config layering, echo header, exit codes, artifacts."""
 
+import contextlib
 import dataclasses
+import io
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lifthead.blocks as B
 import lifthead.checkpoint as C
+import lifthead.gradcheck as G
 import lifthead.model as M
 import lifthead.synthetic as S
 import lifthead.training as TR
@@ -37,6 +43,33 @@ def kv(out):
         if len(parts) >= 2:
             pairs[parts[0]] = parts[1]
     return pairs
+
+
+def run_quiet(argv):
+    """main(argv) with its stdout and stderr caught, for hypothesis tests,
+    which cannot take the function-scoped capsys fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# settings drawn on top of --profile tiny, from accepted and rejected values;
+# (d, h) pairs are drawn together
+RULE_VALUES = {
+    "n_patches": ["8", "2", "0"],
+    "min_keep_patches": ["none", "0", "4", "99"],
+    "n_samples": ["0", "8"],
+    "eval_samples": ["0", "8"],
+    "noise_sigma": ["-1", "nan", "0"],
+    "seed": ["-1", "0"],
+    "data_seed": ["-1", "0"],
+    "max_lr": ["-1", "nan", "1e-3"],
+    "batch_size": ["0", "4"],
+    "dropout": ["-0.5", "1", "0.2"],
+    "attn_scale_dim": ["none", "0", "8"],
+}
+RULE_SHAPES = [("32", "2"), ("16", "4"), ("30", "4"), ("32", "0")]
 
 
 def micro_cfg():
@@ -303,12 +336,44 @@ class TestConfigErrors:
                 (["--epochs", "0", "--n-samples", "0"], "n_samples must be >= 1"),
                 (["--min-keep-patches", "99"], "min_keep_patches must be in [1, 16], got 99"),
                 (["--epochs", "0", "--min-keep-patches", "0"], "min_keep_patches must be in "),
+                (["--seed", "-1"], "seed must be >= 0, got -1"),
+                (["--epochs", "0", "--seed", "-1"], "seed must be >= 0, got -1"),
+                (["--data-seed", "-1"], "data_seed must be >= 0, got -1"),
+                (["--epochs", "0", "--data-seed", "-1"], "data_seed must be >= 0, got -1"),
         ]:
             code, _, err = run_cli(["train", *MICRO, *setting,
                                     "--out", str(tmp_path / "run")], capsys)
             assert code == 1, setting
             assert err.startswith("config error: " + message), err
             assert list(tmp_path.iterdir()) == []
+
+    @given(drawn=st.fixed_dictionaries({}, optional={
+        **{name: st.sampled_from(values) for name, values in RULE_VALUES.items()},
+        "d_h": st.sampled_from(RULE_SHAPES)}))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @example(drawn={})
+    @example(drawn={"max_lr": "-1"})
+    def test_every_command_accepts_or_rejects_alike(self, drawn):
+        flags = []
+        for name, value in drawn.items():
+            pairs = zip(("d", "h"), value) if name == "d_h" else [(name, value)]
+            flags += [f"--{n.replace('_', '-')}={v}" for n, v in pairs]
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["--profile", "tiny", *flags, "--epochs", "0",
+                    "--out", os.path.join(tmp, "run"),
+                    "--checkpoint", os.path.join(tmp, "absent.ckpt")]
+            runs = [run_quiet([command, *argv, *extra]) for command, extra in
+                    (("params", ()), ("schedule", ("--steps", "1")), ("train", ()))]
+            code, out, err = run_quiet(["eval", *argv])
+            assert os.listdir(tmp) == []
+        assert len({c for c, _, _ in runs}) == 1, runs
+        if runs[0][0] == 1:
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+            assert all(line.startswith("config.") for line in out.splitlines())
+            assert code == 1 and all((o, e) == (out, err) for _, o, e in runs)
+        else:
+            assert runs[0][0] == 0
+            assert code == 1 and err.startswith("io error: ") and "absent.ckpt" in err, err
 
     def test_invalid_log_level(self, capsys, monkeypatch):
         monkeypatch.setenv("LIFT_LOG_LEVEL", "chatty")
@@ -394,8 +459,18 @@ class TestGradcheck:
         assert any(r.startswith("gradcheck.composed_head\t") for r in rows)
         assert any(r.startswith("gradcheck.composed_head_batch3\t") for r in rows)
 
-    def test_fault_injection_exits_three(self, capsys):
-        code, out, err = run_cli(["gradcheck", "--inject-fault", "matmul"], capsys)
+    def test_fault_injection_exits_three(self, capsys, monkeypatch):
+        # the matmul check run on a backward scaled by a 1% fault
+        primitive_checks = G.primitive_checks
+
+        def with_faulty_matmul(seed=0):
+            checks = primitive_checks(seed)
+            matmul = checks["matmul"]
+            checks["matmul"] = lambda fault: matmul(0.01)
+            return checks
+
+        monkeypatch.setattr(G, "primitive_checks", with_faulty_matmul)
+        code, out, err = run_cli(["gradcheck"], capsys)
         assert code == 3
         row = next(l for l in out.splitlines()
                    if l.startswith("gradcheck.matmul\t"))

@@ -68,6 +68,8 @@ class TestGeneratorBasics:
                 small_gen(noise_sigma=sigma)
         with pytest.raises(ValueError, match="rank"):
             SyntheticGen(n_patches=4, c_in=6)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            small_gen(seed=-1)
 
 
 class TestMixingMap:

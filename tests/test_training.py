@@ -64,6 +64,10 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"{field} must be"):
             TrainConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+
     @given(step=st.integers(min_value=1, max_value=10**9))
     @settings(max_examples=200, deadline=None)
     def test_never_exceeds_max(self, step):
