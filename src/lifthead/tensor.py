@@ -260,14 +260,26 @@ def _col_sums(x: np.ndarray) -> np.ndarray:
     return _ones(x.shape[0], x.dtype) @ x
 
 
+# Rows narrower than this take their max from one transposed copy; wider rows
+# fold in halves. float32 on one core: at (16, 8, 43, 43) the transposed max
+# took 0.18 ms against the folds' 0.32 ms, at (16, 8, 64, 64) 1.2 ms against
+# 0.61 ms (a 256-byte stride), at (16, 8, 43, 128) 3.3 ms against 0.68 ms.
+_TRANSPOSED_MAX_BELOW = 64
+
+
 def _row_max(x: np.ndarray) -> np.ndarray:
-    """Max over the last axis, keepdims, by halving: each fold takes the
-    elementwise max of the two halves, and an odd last column is folded into
-    the first. The result equals x.max(axis=-1) exactly (max does not round;
-    NaN propagates), at about half its cost for these widths."""
+    """Max over the last axis, keepdims. Narrow rows are copied into columns
+    and reduced down them in one pass, so the cost is not paid per row; wider
+    rows are folded in halves: each fold takes the elementwise max of the two
+    halves, and an odd last column is folded into the first. Either way the
+    result equals x.max(axis=-1) exactly (max does not round; NaN
+    propagates), though a row holding both -0.0 and +0.0 may yield either."""
     w = x.shape[-1]
     if w == 0:
         raise ShapeError(f"max over an empty last axis, shape {x.shape}")
+    if w < _TRANSPOSED_MAX_BELOW:
+        cols = np.ascontiguousarray(x.reshape(-1, w).T)
+        return np.maximum.reduce(cols, axis=0).reshape(x.shape[:-1] + (1,))
     m = x
     while w > 1:
         h = w // 2
@@ -292,25 +304,32 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     bit for bit the product and then a bias add (gradient: column sums).
     """
     ad, bd = a.data, b.data
-    if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
-            or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
+    a_shape, b_shape = ad.shape, bd.shape
+    if (len(a_shape) < 2 or len(b_shape) < 2 or a_shape[-1] != b_shape[-2]
+            or (len(b_shape) > 2 and a_shape[:-2] != b_shape[:-2])):
+        raise ShapeError(f"matmul: incompatible shapes {a_shape} x {b_shape}")
     y = ad @ bd
     if bias is not None:
-        if bd.ndim != 2 or bias.shape != bd.shape[1:]:
-            raise ShapeError(f"matmul: bias {bias.shape} does not fit {a.shape} x {b.shape}")
-        # in place unless the bias is wider: the dtype a separate add gives
-        y = np.add(y, bias.data, out=y if bias.dtype == y.dtype else None)
+        bias_d = bias.data
+        if len(b_shape) != 2 or bias_d.shape != b_shape[1:]:
+            raise ShapeError(f"matmul: bias {bias_d.shape} does not fit {a_shape} x {b_shape}")
+        # in place unless the dtypes differ: the dtype a separate add gives
+        if bias_d.dtype == y.dtype:
+            y += bias_d
+        else:
+            y = y + bias_d
     out = Tensor(y)
 
-    if bd.ndim == 2:
-        n, has_bias = bd.shape[1], bias is not None
+    if len(b_shape) == 2:
+        n, k, has_bias = b_shape[1], a_shape[-1], bias is not None
 
         def bwd(g):
             g2 = g.reshape(-1, n)
-            # a contiguous copy of b.T: OpenBLAS 0.3.31 on 2 threads took
-            # 0.25-3 ms instead of 25 us for g @ b.T at (768, 32) x (32, 32)
-            grads = (g @ np.ascontiguousarray(bd.T), ad.reshape(-1, ad.shape[-1]).T @ g2)
+            # a contiguous copy of b.T, bit for bit the product through the
+            # view: OpenBLAS 0.3.31, 2 threads, took 9 us with it and 11 us
+            # without at (256, 32) x (32, 32), about even at (768, 32); at
+            # (688, 512) x (512, 512) the view is faster (ROADMAP item 7)
+            grads = (g @ np.ascontiguousarray(bd.T), ad.reshape(-1, k).T @ g2)
             return grads + (_col_sums(g2),) if has_bias else grads
     else:
         def bwd(g):
@@ -319,13 +338,22 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _maybe_record(out, (a, b) if bias is None else (a, b, bias), bwd)
 
 
+@functools.lru_cache(maxsize=256)
+def _inverse_permutation(axes: tuple, ndim: int) -> Optional[tuple]:
+    """The inverse of axes, or None if axes is not a permutation of range(ndim)."""
+    if sorted(axes) != list(range(ndim)):
+        return None
+    return tuple(axes.index(i) for i in range(ndim))
+
+
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     """Permute the axes: axis i of the result is axis axes[i] of x."""
+    xd = x.data
     axes = tuple(axes)
-    if sorted(axes) != list(range(x.data.ndim)):
-        raise ShapeError(f"transpose: {axes} is not a permutation of the axes of {x.shape}")
-    inverse = tuple(axes.index(i) for i in range(len(axes)))
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
+    inverse = _inverse_permutation(axes, xd.ndim)
+    if inverse is None:
+        raise ShapeError(f"transpose: {axes} is not a permutation of the axes of {xd.shape}")
+    out = Tensor(np.ascontiguousarray(xd.transpose(axes)))
 
     def bwd(g):
         return (np.ascontiguousarray(g.transpose(inverse)),)
@@ -593,11 +621,11 @@ def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    if math.prod(shape) != x.size:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    out = Tensor(x.data.reshape(shape))
-    in_shape = x.shape
+    xd = x.data
+    shape, in_shape = tuple(shape), xd.shape
+    if math.prod(shape) != xd.size:
+        raise ShapeError(f"reshape: cannot view {in_shape} as {shape}")
+    out = Tensor(xd.reshape(shape))
 
     def bwd(g):
         return (g.reshape(in_shape),)

@@ -1,6 +1,7 @@
 """Tensor core: primitive semantics, gradients against finite differences,
 tape invariants."""
 
+import re
 import weakref
 
 import numpy as np
@@ -62,18 +63,35 @@ class TestTranspose:
         np.testing.assert_array_equal(T.transpose(t64(x), (1, 0)).data, x.T)
 
     def test_axes_permutation_and_inverse_gradient(self):
-        x = t64(np.arange(24.0).reshape(2, 3, 4), grad=True)
         w = np.random.default_rng(2).normal(size=(4, 2, 3))
-        with T.Tape() as tape:
-            y = T.transpose(x, (2, 0, 1))
-            loss = T.sum_(T.mul(y, t64(w)))
-        np.testing.assert_array_equal(y.data, x.data.transpose(2, 0, 1))
-        T.backward(loss, tape)
-        np.testing.assert_array_equal(x.grad, w.transpose(1, 2, 0))
+        for _ in range(2):  # the second call reads the cached inverse
+            x = t64(np.arange(24.0).reshape(2, 3, 4), grad=True)
+            with T.Tape() as tape:
+                y = T.transpose(x, (2, 0, 1))
+                loss = T.sum_(T.mul(y, t64(w)))
+            np.testing.assert_array_equal(y.data, x.data.transpose(2, 0, 1))
+            T.backward(loss, tape)
+            np.testing.assert_array_equal(x.grad, w.transpose(1, 2, 0))
 
     def test_not_a_permutation(self):
-        with pytest.raises(T.ShapeError, match="permutation"):
-            T.transpose(t64(np.zeros((2, 3, 4))), (0, 0, 1))
+        # (1, 0) is checked and cached for a matrix first: the check is keyed
+        # by the number of axes too, so it stays a bad call on a 3-D tensor
+        T.transpose(t64(np.zeros((2, 3))), (1, 0))
+        cube = t64(np.zeros((2, 3, 4)))
+        for axes in ((1, 0), (0, 0, 1), (0, 1, 3)):
+            for _ in range(2):
+                with pytest.raises(T.ShapeError, match="permutation"):
+                    T.transpose(cube, axes)
+
+
+class TestReshape:
+    def test_wrong_size_and_minus_one_rejected(self):
+        x = t64(np.zeros((2, 3)))
+        assert T.reshape(x, (3, 2)).shape == (3, 2)
+        for shape in ((4, 2), (-1, 3), (-1, 6)):
+            with pytest.raises(T.ShapeError,
+                               match=re.escape(f"reshape: cannot view (2, 3) as {shape}")):
+                T.reshape(x, shape)
 
 
 class TestSoftmaxRows:
@@ -367,26 +385,51 @@ def grads_of(fn, *arrays, dtype=np.float64):
     return out.data, w, [leaf.grad for leaf in leaves]
 
 
-MAX_WIDTHS = (1, 2, 3, 5, 47, 48)
+# both sides of _row_max's cut at 64 columns: a transposed max below it,
+# folds in halves from it on
+MAX_WIDTHS = (1, 2, 3, 5, 16, 43, 47, 48, 63, 64, 65, 128)
 lead_dims = st.lists(st.integers(1, 4), min_size=0, max_size=3)
 
 
 class TestFastKernels:
     @given(lead=lead_dims, w=st.sampled_from(MAX_WIDTHS), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
-    def test_halving_max_is_exact(self, lead, w, seed):
+    def test_row_max_is_exact(self, lead, w, seed):
         x = np.random.default_rng(seed).standard_normal(tuple(lead) + (w,))
         for arr in (x, x.astype(np.float32)):
             got = T._row_max(arr)
             assert got.shape == arr.shape[:-1] + (1,)
             np.testing.assert_array_equal(got, arr.max(axis=-1, keepdims=True))
 
-    def test_halving_max_propagates_nan_and_rejects_empty(self):
-        x = np.zeros((2, 7))
-        x[1, 6] = np.nan  # the odd column, folded in at the first level
-        assert np.isnan(T._row_max(x)[1, 0]) and T._row_max(x)[0, 0] == 0.0
+    def test_row_max_propagates_nan_and_rejects_empty(self):
+        assert T._TRANSPOSED_MAX_BELOW == 64
+        for w in (7, 63, 64, 65):
+            for dtype in (np.float32, np.float64):
+                x = np.zeros((3, w), dtype)
+                x[1, w - 1] = np.nan  # at 65 the odd column, folded in at the first level
+                x[2, 0] = np.nan
+                got = T._row_max(x)
+                assert np.isnan(got[1:]).all() and got[0, 0] == 0.0, w
         with pytest.raises(T.ShapeError, match="empty"):
             T._row_max(np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("w", [2, 5, 63, 64, 65])
+    def test_signed_zero_max_gives_the_same_softmax_on_either_path(self, w, monkeypatch):
+        # the transposed max and the folds may pick different zeros of a row
+        # whose max is both -0.0 and +0.0; either shifts the row to the same
+        # values, exp(-0.0) == exp(+0.0)
+        x = -1.0 - np.abs(np.random.default_rng(w).standard_normal((4, w)))
+        x[0, [0, -1]] = -0.0, 0.0
+        x[1, [0, -1]] = 0.0, -0.0
+        x[2, :] = -0.0
+        x[2, w // 2] = 0.0
+        x[3, :2] = -0.0, 0.0
+        for dtype in (np.float32, np.float64):
+            outs = []
+            for cut in (1, 10 ** 6):  # every width folds; every width transposes
+                monkeypatch.setattr(T, "_TRANSPOSED_MAX_BELOW", cut)
+                outs.append(T.softmax_rows(T.Tensor(x, dtype=dtype)).data.tobytes())
+            assert outs[0] == outs[1]
 
     @given(lead=lead_dims, w=st.sampled_from(MAX_WIDTHS), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Schedule, Adam, augmentation, loss, averaging, and train-loop tests."""
 
 import copy
+import hashlib
 import math
 import threading
 import weakref
@@ -959,3 +960,58 @@ class TestEvaluate:
                                          out.beta.data)
         metrics = TR.evaluate(head_cfg, params, [(feats, target)])
         assert abs(metrics["keypoint_mse"] - 0.01) < 1e-6
+
+
+def blas_key():
+    """numpy's version, the OpenBLAS build string (version and build-time
+    core) and the SIMD extensions found at run time, which choose the core
+    whose kernels a DYNAMIC_ARCH OpenBLAS runs."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return (np.__version__, blas.get("openblas configuration"),
+            tuple(config.get("SIMD Extensions", {}).get("found", ())))
+
+
+# SHA-256 of a tiny-profile 3-epoch train() on 64 samples, as lifthead train
+# --profile tiny --epochs 3 runs it, by dropout: last_params and the averaged
+# params (names and bytes in walk order), and the float64 bytes of the step
+# losses. The thread count does not change them; the BLAS kernels may.
+PINNED_TINY_BLAS = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
+                    "NO_AFFINITY Haswell MAX_THREADS=64",
+                    ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+PINNED_TINY_BYTES = {
+    0.0: ("c795b5e15bfa9290f8ad01aa2c98cf42bf1e8f937fb0394e56e886eb67c6c9b8",
+          "32820b018e84f72199e0ee3952a605207ea1489839277fa24821c17af79b2291",
+          "2938dbb680f6c9a8822d5f013819aee3ed3eb5da6103cfeadc94b353058a0d83"),
+    0.2: ("4ae0c4df92f9319fda7cc7bfeeb2ce666490d5972bdddf45863d501de4e03545",
+          "e76907ec688ab00da73d794af2e41bec2727510ddbb1842f28dd945e0db7073d",
+          "7619ff4ff3d5a08db19591291bcd65fdee5a576eedde98d58746a7a1ad66dea8"),
+}
+
+
+def params_digest(params):
+    h = hashlib.sha256()
+    for name, t in params.named_parameters():
+        h.update(name.encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("dropout", sorted(PINNED_TINY_BYTES))
+def test_tiny_training_bytes_are_pinned(dropout):
+    """A change meant to leave results untouched leaves these bytes as they
+    were recorded."""
+    if blas_key() != PINNED_TINY_BLAS:
+        pytest.skip(f"digests were recorded with numpy and BLAS {PINNED_TINY_BLAS}; "
+                    f"this build is {blas_key()}, whose kernels may round differently")
+    from lifthead import cli
+    cfg = {f.name: f.default for f in cli.FIELDS}
+    cfg.update(cli.PROFILES["tiny"], epochs=3, dropout=dropout)
+    head_cfg, train_cfg, gen = cli.build(cfg)
+    data = generate(cfg["n_samples"], gen)
+    params = M.init_head(head_cfg, np.random.default_rng(train_cfg.seed))
+    result = train(head_cfg, params, data, train_cfg)
+    losses = np.array([m.loss for m in result.metrics])
+    assert len(losses) == 12
+    assert (params_digest(result.last_params), params_digest(result.params),
+            hashlib.sha256(losses.tobytes()).hexdigest()) == PINNED_TINY_BYTES[dropout]
