@@ -194,18 +194,23 @@ def read_tensors(path) -> dict[str, np.ndarray]:
     return out
 
 
-def save_checkpoint(params: HeadParams, opt_state: Optional[AdamState], path) -> None:
-    """Write model parameters and, if given, optimizer state to one file.
-
-    Optimizer entries are stored as ``adam.m.<name>``, ``adam.v.<name>`` and
-    a scalar ``adam.step`` alongside the plain parameter names.
-    """
-    tensors: dict[str, np.ndarray] = {n: t.data for n, t in params.named_parameters()}
+def _named_arrays(params: HeadParams, opt_state: Optional[AdamState]) -> dict[str, np.ndarray]:
+    """The checkpoint's name -> array layout: the plain parameter names,
+    then, with opt_state, a 0-d float64 ``adam.step`` and ``adam.m.<name>``,
+    ``adam.v.<name>``. Every array but adam.step is the one params or
+    opt_state holds, so a load writes into it in place."""
+    arrays = {n: t.data for n, t in params.named_parameters()}
     if opt_state is not None:
-        tensors["adam.step"] = np.array(opt_state.step, dtype=np.float64)
+        arrays["adam.step"] = np.array(opt_state.step, dtype=np.float64)
         for prefix, store in (("adam.m.", opt_state.m), ("adam.v.", opt_state.v)):
-            tensors.update((prefix + name, arr) for name, arr in store.items())
-    write_tensors(path, tensors)
+            arrays.update((prefix + name, arr) for name, arr in store.items())
+    return arrays
+
+
+def save_checkpoint(params: HeadParams, opt_state: Optional[AdamState], path) -> None:
+    """Write model parameters and, if given, optimizer state to one file
+    (_named_arrays gives the names)."""
+    write_tensors(path, _named_arrays(params, opt_state))
 
 
 def load_checkpoint(path, params: HeadParams,
@@ -220,12 +225,7 @@ def load_checkpoint(path, params: HeadParams,
     untouched.
     """
     tensors = read_tensors(path)
-    named = list(params.named_parameters())
-    targets = {name: t.data for name, t in named}
-    if opt_state is not None:
-        targets["adam.step"] = np.empty(())
-        for prefix, store in (("adam.m.", opt_state.m), ("adam.v.", opt_state.v)):
-            targets.update((prefix + name, arr) for name, arr in store.items())
+    targets = _named_arrays(params, opt_state)
     for name, dst in targets.items():
         if name not in tensors:
             raise FormatError(f"{path}: missing tensor {name}")
@@ -237,7 +237,7 @@ def load_checkpoint(path, params: HeadParams,
         raise FormatError(f"{path}: unexpected tensors {unexpected[:5]}")
     for name, dst in targets.items():
         dst[...] = tensors[name]
-    for _, t in named:
+    for _, t in params.named_parameters():
         t.grad = None
     if opt_state is not None:
         opt_state.step = int(targets["adam.step"])

@@ -33,7 +33,9 @@ from .efficiency import DeconvConfig, efficiency_report
 
 log = logging.getLogger("lifthead.cli")
 
-# offset so eval draws a split disjoint from the training stream
+# offset so eval draws a split disjoint from the training stream; the seed
+# also seeds SyntheticGen.mixing_map, so eval scores features made by another
+# linear map than the one trained on (ROADMAP item 4)
 HELDOUT_SEED_OFFSET = 1
 
 

@@ -17,24 +17,31 @@ from . import tensor as T
 FD_STEP = 1e-5
 PRIMITIVE_TOLERANCE = 1e-6  # worst relative error that passes, per primitive
 COMPOSED_TOLERANCE = 1e-4   # and for the whole head
+COMPOSED_COORDS = 4         # coordinates probed per tensor of the whole head
 
 
 def numeric_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                 step: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of scalar f at x, one coordinate at a time."""
+                 coords: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Central-difference gradient of scalar f at x, one coordinate at a time.
+
+    A float64 x is perturbed in place and restored after each coordinate,
+    so f may read it through another reference (a parameter's .data).
+    With coords, only those flat coordinates are probed, and their
+    derivatives come back in that order as a 1-D array.
+    """
     x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
+    flat = x.flat  # writes reach x in any memory layout, where reshape may copy
+    picks = range(x.size) if coords is None else coords
+    g = np.empty(len(picks))
+    for j, i in enumerate(picks):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + FD_STEP
         fp = f(x)
-        flat[i] = orig - step
+        flat[i] = orig - FD_STEP
         fm = f(x)
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * step)
-    return g
+        g[j] = (fp - fm) / (2.0 * FD_STEP)
+    return g.reshape(x.shape) if coords is None else g
 
 
 def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -57,25 +64,21 @@ def check_op(make_scalar: Callable[[Sequence[T.Tensor]], T.Tensor],
     make_scalar receives float64 leaf Tensors and must return a scalar Tensor
     built from tape primitives. Returns the worst relative error over all
     inputs. ``fault`` perturbs the analytic gradients multiplicatively; the
-    CLI uses it to prove the checker can fail.
+    tests use it to prove the checker can fail.
     """
-    leaves = [T.Tensor(np.asarray(a, dtype=np.float64), requires_grad=True) for a in inputs]
+    arrays = [np.asarray(a, dtype=np.float64) for a in inputs]
+    leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
     with T.Tape() as tape:
         loss = make_scalar(leaves)
     T.backward(loss, tape)
 
+    def f(_):  # numeric_grad perturbs one of arrays in place
+        return make_scalar([T.Tensor(a) for a in arrays]).item()
+
     worst = 0.0
-    for k, leaf in enumerate(leaves):
-        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        analytic = analytic * (1.0 + fault)
-
-        def f(arr, k=k):
-            vals = [T.Tensor(np.asarray(a, dtype=np.float64)) for a in inputs]
-            vals[k] = T.Tensor(np.asarray(arr, dtype=np.float64))
-            return make_scalar(vals).item()
-
-        numeric = numeric_grad(f, np.asarray(inputs[k], dtype=np.float64))
-        worst = max(worst, rel_error(analytic, numeric))
+    for leaf, arr in zip(leaves, arrays):
+        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(arr)
+        worst = max(worst, rel_error(analytic * (1.0 + fault), numeric_grad(f, arr)))
     return worst
 
 
@@ -84,30 +87,26 @@ def _weighted(out: T.Tensor, w: np.ndarray) -> T.Tensor:
     return T.sum_(T.mul(out, T.Tensor(np.asarray(w, dtype=np.float64))))
 
 
-def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
+def primitive_checks(seed: int = 0) -> dict[str, tuple[Callable, list[np.ndarray]]]:
     """One finite-difference check per differentiable primitive, plus one
     per N-D form of matmul, transpose and softmax_rows, and one per folded
     form of layer_norm (residual, relu), softmax_rows (scale), matmul (bias)
     and relu (dropout).
 
-    Returns a name -> callable map; each callable takes a fault factor and
-    returns the worst relative error for that primitive.
+    Returns a name -> (make_scalar, inputs) map, the arguments of check_op.
+    The inputs are drawn from one stream seeded by seed: the shared arrays
+    first, then each row's own in row order, so a new row goes last to
+    leave every earlier row's inputs as they are.
     """
     rng = np.random.default_rng(seed)
 
     def r(*shape):
         return rng.uniform(-1.0, 1.0, size=shape)
 
-    a44, b44 = r(4, 4), r(4, 4)
-    x35 = r(3, 5)
-    gamma5, beta5 = r(5), r(5)
-    bias5 = r(5)
-    w35, w44, w_scalar = r(3, 5), r(4, 4), r(1)
-    w53 = r(5, 3)
-    w_concat = r(3, 6)
-    w_rows = r(2, 5)
-    w_gather = r(4, 5)
-    w_resh = r(15)
+    a44, b44, x35 = r(4, 4), r(4, 4), r(3, 5)
+    gamma5, beta5, bias5 = r(5), r(5), r(5)
+    w35, w44, w_scalar, w53 = r(3, 5), r(4, 4), r(1), r(5, 3)
+    w_concat, w_rows, w_gather, w_resh = r(3, 6), r(2, 5), r(4, 5), r(15)
     drop_seed = int(rng.integers(1 << 30))
     # batched forms: a (2, 3, 4) stack against a shared (4, 5) matrix and
     # against a (2, 4, 5) stack; an axes permutation; softmax on the last
@@ -117,102 +116,68 @@ def primitive_checks(seed: int = 0) -> dict[str, Callable[[float], float]]:
     w235, w423 = r(2, 3, 5), r(4, 2, 3)
     x237, w237 = r(2, 3, 7), r(2, 3, 7)
 
-    checks = {
-        "matmul": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.matmul(t[0], t[1]), w44), [a44, b44], fault),
-        "transpose": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.transpose(t[0], (1, 0)), w53), [x35], fault),
-        "add": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.add(t[0], t[1]), w35), [x35, r(3, 5)], fault),
-        "sub": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.sub(t[0], t[1]), w35), [x35, r(3, 5)], fault),
-        "mul": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.mul(t[0], t[1]), w35), [x35, r(3, 5)], fault),
-        "scale": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.scale(t[0], -1.7), w35), [x35], fault),
-        "relu": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.relu(t[0]), w35), [x35 + 0.05], fault),
-        "abs": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.abs_(t[0]), w35), [x35 + 0.05], fault),
-        "sum": lambda fault=0.0: check_op(
-            lambda t: T.mul(T.sum_(t[0]), T.Tensor(np.float64(w_scalar[0]))),
-            [x35], fault),
-        "mean": lambda fault=0.0: check_op(
-            lambda t: T.mul(T.mean(t[0]), T.Tensor(np.float64(w_scalar[0]))),
-            [x35], fault),
-        "softmax_rows": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.softmax_rows(t[0]), w35), [x35], fault),
-        "layer_norm": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.layer_norm(t[0], t[1], t[2], eps=1e-5), w35),
-            [x35, gamma5, beta5], fault),
-        "dropout": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.dropout(t[0], 0.3, np.random.default_rng(drop_seed)), w35),
-            [x35], fault),
-        "concat_last_dim": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.concat_last_dim([t[0], t[1]]), w_concat),
-            [r(3, 2), r(3, 4)], fault),
-        "slice_rows": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.slice_rows(t[0], 1, 3), w_rows),
-            [r(4, 5)], fault),
-        "gather_rows": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.gather_rows(t[0], [2, 0, 2, 1]), w_gather),
-            [r(3, 5)], fault),
-        "reshape": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.reshape(t[0], (15,)), w_resh), [x35], fault),
-        "normalize_rows": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.normalize_rows(t[0], eps=1e-8), w35),
-            [x35 + np.sign(x35) * 0.1], fault),
-        "matmul_batch_x_matrix": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.matmul(t[0], t[1]), w235), [x234, b45], fault),
-        "matmul_batch_x_batch": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.matmul(t[0], t[1]), w235), [x234, b245], fault),
-        "transpose_axes": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.transpose(t[0], (2, 0, 1)), w423), [x234], fault),
-        "softmax_last_axis": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.softmax_rows(t[0]), w237), [x237], fault),
+    def drop():  # the same dropout mask at every evaluation
+        return np.random.default_rng(drop_seed)
+
+    return {
+        "matmul": (lambda t: _weighted(T.matmul(*t), w44), [a44, b44]),
+        "transpose": (lambda t: _weighted(T.transpose(t[0], (1, 0)), w53), [x35]),
+        "add": (lambda t: _weighted(T.add(*t), w35), [x35, r(3, 5)]),
+        "sub": (lambda t: _weighted(T.sub(*t), w35), [x35, r(3, 5)]),
+        "mul": (lambda t: _weighted(T.mul(*t), w35), [x35, r(3, 5)]),
+        "scale": (lambda t: _weighted(T.scale(t[0], -1.7), w35), [x35]),
+        "relu": (lambda t: _weighted(T.relu(t[0]), w35), [x35 + 0.05]),
+        "abs": (lambda t: _weighted(T.abs_(t[0]), w35), [x35 + 0.05]),
+        "sum": (lambda t: T.mul(T.sum_(t[0]), T.Tensor(np.float64(w_scalar[0]))), [x35]),
+        "mean": (lambda t: T.mul(T.mean(t[0]), T.Tensor(np.float64(w_scalar[0]))), [x35]),
+        "softmax_rows": (lambda t: _weighted(T.softmax_rows(t[0]), w35), [x35]),
+        "layer_norm": (lambda t: _weighted(T.layer_norm(*t), w35), [x35, gamma5, beta5]),
+        "dropout": (lambda t: _weighted(T.dropout(t[0], 0.3, drop()), w35), [x35]),
+        "concat_last_dim": (lambda t: _weighted(T.concat_last_dim(t), w_concat),
+                            [r(3, 2), r(3, 4)]),
+        "slice_rows": (lambda t: _weighted(T.slice_rows(t[0], 1, 3), w_rows), [r(4, 5)]),
+        "gather_rows": (lambda t: _weighted(T.gather_rows(t[0], [2, 0, 2, 1]), w_gather),
+                        [r(3, 5)]),
+        "reshape": (lambda t: _weighted(T.reshape(t[0], (15,)), w_resh), [x35]),
+        "normalize_rows": (lambda t: _weighted(T.normalize_rows(t[0]), w35),
+                           [x35 + np.sign(x35) * 0.1]),
+        "matmul_batch_x_matrix": (lambda t: _weighted(T.matmul(*t), w235), [x234, b45]),
+        "matmul_batch_x_batch": (lambda t: _weighted(T.matmul(*t), w235), [x234, b245]),
+        "transpose_axes": (lambda t: _weighted(T.transpose(t[0], (2, 0, 1)), w423), [x234]),
+        "softmax_last_axis": (lambda t: _weighted(T.softmax_rows(t[0]), w237), [x237]),
         # folded forms, on an odd last axis: a residual summand, and a
         # score scale other than 1
-        "layer_norm_residual": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.layer_norm(t[0], t[1], t[2], eps=1e-5, residual=t[3]),
-                                w237[0]),
-            [r(3, 7), r(7), r(7), r(3, 7)], fault),
-        "softmax_scaled": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.softmax_rows(t[0], scale=2.5), w237), [r(2, 3, 7)], fault),
-        # last: these rows draw their inputs when they run, after every row
-        # above, so those keep their draws
-        "matmul_bias": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.matmul(*t), w35), [r(3, 4), r(4, 5), bias5], fault),
-        "relu_dropout": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.relu(t[0], 0.3, np.random.default_rng(drop_seed)), w35),
-            [r(3, 5)], fault),
-        "layer_norm_relu": lambda fault=0.0: check_op(
-            lambda t: _weighted(T.layer_norm(t[0], t[1], t[2], eps=1e-5, relu=True), w35),
-            [r(3, 5), r(5), r(5)], fault),
+        "layer_norm_residual": (lambda t: _weighted(
+            T.layer_norm(*t[:3], residual=t[3]), w237[0]), [r(3, 7), r(7), r(7), r(3, 7)]),
+        "softmax_scaled": (lambda t: _weighted(T.softmax_rows(t[0], scale=2.5), w237),
+                           [r(2, 3, 7)]),
+        "matmul_bias": (lambda t: _weighted(T.matmul(*t), w35), [r(3, 4), r(4, 5), bias5]),
+        "relu_dropout": (lambda t: _weighted(T.relu(t[0], 0.3, drop()), w35), [r(3, 5)]),
+        "layer_norm_relu": (lambda t: _weighted(T.layer_norm(*t, relu=True), w35),
+                            [r(3, 5), r(5), r(5)]),
     }
-    return checks
 
 
-def run_primitive_suite(tolerance: float = PRIMITIVE_TOLERANCE,
-                        seed: int = 0) -> list[tuple[str, float, bool]]:
+def run_primitive_suite(seed: int = 0) -> list[tuple[str, float, bool]]:
     """Run every primitive check; returns (name, worst rel error, passed) rows."""
     results = []
-    for name, check in primitive_checks(seed).items():
-        err = check(0.0)
-        results.append((name, err, err < tolerance))
+    for name, (make_scalar, inputs) in primitive_checks(seed).items():
+        err = check_op(make_scalar, inputs)
+        results.append((name, err, err < PRIMITIVE_TOLERANCE))
     return results
 
 
-def composed_head_check(seed: int = 0, coords_per_tensor: int = 4,
-                        batch: Optional[int] = None) -> float:
+def composed_head_check(seed: int = 0, batch: Optional[int] = None) -> float:
     """Worst relative error across all parameters of a small full head.
 
     A random linear readout of the pose outputs gives the scalar; every
-    parameter tensor and the input features are probed at a few coordinates
-    with central differences in float64. With batch set, the features are a
-    (batch, n_patches, c_in) stack and the batched path is checked.
-    Parameters are first jittered away from the init point, where zero
-    biases park whole relu rows exactly on the kink and a one-sided slope is
-    the honest answer that central differences cannot measure.
+    parameter tensor and the input features are probed at COMPOSED_COORDS
+    coordinates with central differences in float64, perturbed in place.
+    With batch set, the features are a (batch, n_patches, c_in) stack and
+    the batched path is checked. Parameters are first jittered away from
+    the init point, where zero biases park whole relu rows exactly on the
+    kink and a one-sided slope is the honest answer that central
+    differences cannot measure.
     """
     from . import model as M
 
@@ -238,20 +203,8 @@ def composed_head_check(seed: int = 0, coords_per_tensor: int = 4,
         T.backward(readout(), tape)
 
     worst = 0.0
-    targets = list(params.named_parameters()) + [("features", feats)]
-    for _, t in targets:
-        flat = t.data.reshape(-1)
-        picks = rng.choice(flat.size, size=min(coords_per_tensor, flat.size),
-                           replace=False)
-        analytic = t.grad.reshape(-1)[picks]
-        numeric = np.empty_like(analytic)
-        for j, idx in enumerate(picks):
-            orig = flat[idx]
-            flat[idx] = orig + FD_STEP
-            up = readout().item()
-            flat[idx] = orig - FD_STEP
-            down = readout().item()
-            flat[idx] = orig
-            numeric[j] = (up - down) / (2.0 * FD_STEP)
-        worst = max(worst, rel_error(analytic, numeric))
+    for _, t in list(params.named_parameters()) + [("features", feats)]:
+        picks = rng.choice(t.size, size=min(COMPOSED_COORDS, t.size), replace=False)
+        numeric = numeric_grad(lambda _: readout().item(), t.data, coords=picks)
+        worst = max(worst, rel_error(t.grad.reshape(-1)[picks], numeric))
     return worst

@@ -39,8 +39,8 @@ def profile_head_config(name):
 def test_01_gradient_suite():
     with criterion(1, "gradient suite"):
         t0 = time.time()
-        results = G.run_primitive_suite(tolerance=1e-6)
-        bad = [(n, e) for n, e, ok in results if not ok]
+        results = G.run_primitive_suite()
+        bad = [(n, e) for n, e, ok in results if not (ok and e < 1e-6)]
         assert not bad, f"primitive failures: {bad}"
         composed = G.composed_head_check(seed=0)
         assert composed < 1e-4, f"composed head rel err {composed:.3e}"

@@ -450,26 +450,32 @@ class TestParams:
 
 
 class TestGradcheck:
+    # table order: each row draws its inputs after the rows above it
+    ROWS = ["matmul", "transpose", "add", "sub", "mul", "scale", "relu", "abs", "sum", "mean",
+            "softmax_rows", "layer_norm", "dropout", "concat_last_dim", "slice_rows",
+            "gather_rows", "reshape", "normalize_rows",  # 18 primitives
+            "matmul_batch_x_matrix", "matmul_batch_x_batch", "transpose_axes",
+            "softmax_last_axis",  # 4 N-D forms
+            "layer_norm_residual", "softmax_scaled", "matmul_bias", "relu_dropout",
+            "layer_norm_relu",  # 5 folded forms
+            "composed_head", "composed_head_batch3"]
+
     def test_clean_run_exits_zero(self, capsys):
         code, out, _ = run_cli(["gradcheck"], capsys)
         assert code == 0
         rows = [l for l in out.splitlines() if l.startswith("gradcheck.")]
-        assert len(rows) == 29  # 18 primitives, 4 N-D forms, 5 folded forms, 2 composed heads
+        assert [r.split("\t")[0] for r in rows] == [f"gradcheck.{n}" for n in self.ROWS]
         assert all(r.endswith("\tpass") for r in rows)
-        assert any(r.startswith("gradcheck.composed_head\t") for r in rows)
-        assert any(r.startswith("gradcheck.composed_head_batch3\t") for r in rows)
 
     def test_fault_injection_exits_three(self, capsys, monkeypatch):
-        # the matmul check run on a backward scaled by a 1% fault
-        primitive_checks = G.primitive_checks
+        # the matmul row checked against a backward scaled by a 1% fault
+        check_op = G.check_op
+        matmul = G.primitive_checks()["matmul"][0].__code__
 
-        def with_faulty_matmul(seed=0):
-            checks = primitive_checks(seed)
-            matmul = checks["matmul"]
-            checks["matmul"] = lambda fault: matmul(0.01)
-            return checks
+        def faulty_matmul(make_scalar, inputs):
+            return check_op(make_scalar, inputs, 0.01 if make_scalar.__code__ is matmul else 0.0)
 
-        monkeypatch.setattr(G, "primitive_checks", with_faulty_matmul)
+        monkeypatch.setattr(G, "check_op", faulty_matmul)
         code, out, err = run_cli(["gradcheck"], capsys)
         assert code == 3
         row = next(l for l in out.splitlines()

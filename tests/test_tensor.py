@@ -1,7 +1,9 @@
 """Tensor core: primitive semantics, gradients against finite differences,
 tape invariants."""
 
+import inspect
 import re
+import types
 import weakref
 
 import numpy as np
@@ -32,7 +34,7 @@ class TestMatmul:
             T.matmul(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))))
 
     def test_grad_matches_finite_differences(self):
-        err = primitive_checks(seed=3)["matmul"](0.0)
+        err = check_op(*primitive_checks(seed=3)["matmul"])
         assert err < 1e-6
 
     def test_batched_forms_match_numpy(self):
@@ -233,6 +235,14 @@ class TestBackward:
         assert rel_error(a.grad, num_a) < 1e-6
         assert rel_error(b.grad, num_b) < 1e-6
 
+    def test_numeric_grad_perturbs_a_strided_view(self):
+        # a transposed view is not contiguous: its reshape would be a copy
+        a = np.arange(6.0).reshape(3, 2).T
+        np.testing.assert_allclose(numeric_grad(lambda v: (v * v).sum(), a), 2 * a, atol=1e-8)
+        np.testing.assert_allclose(numeric_grad(lambda v: (v * v).sum(), a, coords=[1, 3]),
+                                   2 * a.flat[[1, 3]], atol=1e-8)
+        np.testing.assert_array_equal(a, np.arange(6.0).reshape(3, 2).T)
+
     def test_non_scalar_loss_rejected(self):
         x = t64(np.zeros((2, 2)), grad=True)
         with T.Tape() as tape:
@@ -312,12 +322,28 @@ class TestBackward:
 class TestFiniteDifferenceContract:
     @pytest.mark.parametrize("name", sorted(primitive_checks(seed=11).keys()))
     def test_primitive(self, name):
-        err = primitive_checks(seed=11)[name](0.0)
+        err = check_op(*primitive_checks(seed=11)[name])
         assert err < 1e-6, f"{name}: rel err {err:.3e}"
 
     def test_fault_injection_detected(self):
-        err = primitive_checks(seed=11)["matmul"](0.01)
+        err = check_op(*primitive_checks(seed=11)["matmul"], fault=0.01)
         assert err > 1e-6
+
+    def test_every_primitive_has_a_row(self):
+        """Every function of lifthead.tensor that defines a backward records
+        a tape entry in at least one row of the table."""
+        defining = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+                    if fn.__module__ == T.__name__
+                    and any(isinstance(c, types.CodeType) and c.co_name == "bwd"
+                            for c in fn.__code__.co_consts)}
+        assert {"matmul", "layer_norm", "softmax_rows"} <= defining
+        recorded = set()
+        for make_scalar, inputs in primitive_checks().values():
+            leaves = [t64(a, grad=True) for a in inputs]
+            with T.Tape() as tape:
+                make_scalar(leaves)
+            recorded |= {e.backward_fn.__qualname__.split(".")[0] for e in tape.entries}
+        assert defining <= recorded, f"no gradcheck row for {sorted(defining - recorded)}"
 
 
 class TestDeterminism:
