@@ -197,13 +197,13 @@ def read_tensors(path) -> dict[str, np.ndarray]:
 def _named_arrays(params: HeadParams, opt_state: Optional[AdamState]) -> dict[str, np.ndarray]:
     """The checkpoint's name -> array layout: the plain parameter names,
     then, with opt_state, a 0-d float64 ``adam.step`` and ``adam.m.<name>``,
-    ``adam.v.<name>``. Every array but adam.step is the one params or
-    opt_state holds, so a load writes into it in place."""
+    ``adam.v.<name>``. Every array but adam.step is, or views, one that
+    params or opt_state holds, so a load writes into it in place."""
     arrays = {n: t.data for n, t in params.named_parameters()}
     if opt_state is not None:
         arrays["adam.step"] = np.array(opt_state.step, dtype=np.float64)
-        for prefix, store in (("adam.m.", opt_state.m), ("adam.v.", opt_state.v)):
-            arrays.update((prefix + name, arr) for name, arr in store.items())
+        for prefix, flat in (("adam.m.", opt_state.m_flat), ("adam.v.", opt_state.v_flat)):
+            arrays.update((prefix + name, arr) for name, arr in opt_state.named_views(flat))
     return arrays
 
 
@@ -220,9 +220,9 @@ def load_checkpoint(path, params: HeadParams,
     Every value is copied into the array the structure already holds, so a
     parameter keeps its .data (an Adam arena view stays one). Pass an
     AdamState to restore optimizer moments too; a checkpoint saved without
-    them then fails with FormatError. Every name and shape is checked
-    before the first copy, so a FormatError leaves params and opt_state
-    untouched.
+    them then fails with FormatError. Every name and shape, and that
+    adam.step is a whole number in [0, 2**63), is checked before the first
+    copy, so a FormatError leaves params and opt_state untouched.
     """
     tensors = read_tensors(path)
     targets = _named_arrays(params, opt_state)
@@ -232,12 +232,17 @@ def load_checkpoint(path, params: HeadParams,
         if tensors[name].shape != dst.shape:
             raise FormatError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
                               f"expected {dst.shape}")
-    unexpected = [k for k in tensors if k not in targets and not k.startswith("adam.")]
+    unexpected = [k for k in tensors if k not in targets
+                  and not (opt_state is None and k.startswith("adam."))]
     if unexpected:
         raise FormatError(f"{path}: unexpected tensors {unexpected[:5]}")
+    if opt_state is not None:
+        step = float(tensors["adam.step"])
+        if not (step.is_integer() and 0 <= step < 2 ** 63):
+            raise FormatError(f"{path}: adam.step {step} is not a whole number in [0, 2**63)")
     for name, dst in targets.items():
         dst[...] = tensors[name]
     for _, t in params.named_parameters():
         t.grad = None
     if opt_state is not None:
-        opt_state.step = int(targets["adam.step"])
+        opt_state.step = int(step)

@@ -115,17 +115,16 @@ class AdamState:
 
     init copies the parameters into one contiguous buffer, ``arena``, and
     rebinds each parameter's .data to its view of it; ``m_flat`` and
-    ``v_flat`` share that layout. ``m`` and ``v`` map parameter names to
-    views of the moment buffers (the checkpoint's ``adam.m.<name>`` and
-    ``adam.v.<name>``), so they must be written in place.
+    ``v_flat`` share that layout and are the only copy of the moments.
+    ``named`` keeps the (name, Tensor) pairs init packed, in arena order:
+    the pairs adam_step updates and the checkpoint's ``adam.m.<name>`` and
+    ``adam.v.<name>`` names.
     """
-    names: list[str]
+    named: list[tuple[str, Tensor]]
     arena: np.ndarray
     m_flat: np.ndarray
     v_flat: np.ndarray
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    bound: dict[str, np.ndarray]  # name -> the arena view the parameter holds
+    views: list[np.ndarray]  # per parameter, the arena view it holds
     # per ADAM_CHUNK-element chunk of the arena, the pieces of the
     # parameters that make it up: (parameter index, None) for a whole
     # parameter, (parameter index, slice) for part of a flattened one
@@ -133,19 +132,14 @@ class AdamState:
     step: int = 0
 
     @classmethod
-    def init(cls, params) -> "AdamState":
-        """Pack params (a HeadParams, or (name, Tensor) pairs) into a new
-        arena with zero moments."""
-        named = list(params.named_parameters() if hasattr(params, "named_parameters")
-                     else params)
-        names = [n for n, _ in named]
+    def init(cls, named: Iterable[tuple[str, Tensor]]) -> "AdamState":
+        """Pack the (name, Tensor) pairs into a new arena with zero moments."""
+        named = list(named)
         tensors = [t for _, t in named]
         arena = _pack(tensors)
-        m_flat = np.zeros(arena.shape, arena.dtype)
-        v_flat = np.zeros(arena.shape, arena.dtype)
-        bound = dict(zip(names, _views(arena, tensors)))
-        for name, t in named:
-            t.data = bound[name]
+        views = _views(arena, tensors)
+        for t, view in zip(tensors, views):
+            t.data = view
         chunks = [[] for _ in range(0, arena.size, ADAM_CHUNK)]
         start = 0
         for i, t in enumerate(tensors):
@@ -156,19 +150,22 @@ class AdamState:
                 chunks[k].append((i, None if whole else
                                   slice(max(lo, start) - start, min(hi, end) - start)))
             start = end
-        return cls(names=names, arena=arena, m_flat=m_flat, v_flat=v_flat,
-                   m=dict(zip(names, _views(m_flat, tensors))),
-                   v=dict(zip(names, _views(v_flat, tensors))), bound=bound,
-                   chunks=chunks)
+        return cls(named=named, arena=arena, m_flat=np.zeros(arena.shape, arena.dtype),
+                   v_flat=np.zeros(arena.shape, arena.dtype), views=views, chunks=chunks)
+
+    def named_views(self, flat: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        """(name, view of flat shaped like that parameter) in arena order;
+        of m_flat or v_flat, the views are the moments adam_step uses."""
+        names, tensors = zip(*self.named)
+        return list(zip(names, _views(flat, tensors)))
 
 
-def adam_step(named_params: Iterable[tuple[str, Tensor]], state: AdamState,
-              lr: float) -> None:
-    """One Adam update with bias correction; consumes and clears gradients.
+def adam_step(state: AdamState, lr: float) -> None:
+    """One Adam update with bias correction of the parameters state was
+    initialised from; consumes and clears their gradients.
 
-    The parameters must be those state was initialised from, in the same
-    order, each still holding its arena view. Every parameter must carry a
-    gradient (zero counts, None does not). A non-finite gradient raises
+    Each parameter must still hold its arena view and carry a gradient
+    (zero counts, None does not). A non-finite gradient raises
     TrainingAborted before any parameter, moment or the step count changes.
 
     The update runs chunk by chunk over the arena, in two passes that hand
@@ -182,19 +179,13 @@ def adam_step(named_params: Iterable[tuple[str, Tensor]], state: AdamState,
     same order whichever thread takes its chunk, so the result is
     bit-identical to a single-threaded update.
     """
-    params = list(named_params)
-    if len(params) != len(state.names):
-        raise ValueError(f"{len(params)} parameters, but the Adam state holds "
-                         f"{len(state.names)}")
-    for (name, t), want in zip(params, state.names):
-        if name != want:
-            raise ValueError(f"parameter {name} is not the Adam state's {want}")
+    for (name, t), view in zip(state.named, state.views):
         if t.grad is None:
             raise ValueError(f"parameter {name} has no gradient")
-        if t.data is not state.bound[name]:
+        if t.data is not view:
             raise ValueError(f"parameter {name} no longer holds its view of the Adam "
                              f"arena; call AdamState.init again")
-    grads = [t.grad for _, t in params]
+    grads = [t.grad for _, t in state.named]
     n = state.arena.size
     n_chunks = len(state.chunks)
 
@@ -216,7 +207,7 @@ def adam_step(named_params: Iterable[tuple[str, Tensor]], state: AdamState,
         return all(np.isfinite(gather(k, buf)).all() for k in chunks)
 
     if not all(W.over_chunks(finite, n_chunks, state.arena.nbytes)):
-        bad = next(name for name, t in params if not np.isfinite(t.grad).all())
+        bad = next(name for name, t in state.named if not np.isfinite(t.grad).all())
         raise TrainingAborted(state.step + 1, lr, parameter=bad)
     state.step += 1
     b1c = 1.0 - ADAM_BETA1 ** state.step
@@ -249,7 +240,7 @@ def adam_step(named_params: Iterable[tuple[str, Tensor]], state: AdamState,
             p -= t1
 
     W.over_chunks(update, n_chunks, state.arena.nbytes)
-    for _, t in params:
+    for _, t in state.named:
         t.grad = None
 
 
@@ -391,8 +382,7 @@ def train(head_cfg: HeadConfig, params: HeadParams,
 
     rng = np.random.default_rng(cfg.seed)
     # packs params into the arena on every call: callers may rebind .data
-    state = AdamState.init(params)
-    named = list(params.named_parameters())
+    state = AdamState.init(params.named_parameters())
     window: Optional[_RunningMean] = None  # of the last avg_last_epochs epochs
     metrics: list[StepMetrics] = []
     step = 0
@@ -420,7 +410,7 @@ def train(head_cfg: HeadConfig, params: HeadParams,
             # backward emptied the tape as it walked it; drop the tape too,
             # so that no tape outlives its step
             del tape
-            adam_step(named, state, lr)
+            adam_step(state, lr)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             metrics.append(StepMetrics(step, epoch, lr, loss_value, wall_ms))
         if checkpoint_dir is not None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import struct
 import tempfile
 import threading
@@ -172,6 +173,13 @@ class TestRawTensorIO:
     def test_integer_dtype_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="dtype"):
             write_tensors(tmp_path / "t.ckpt", {"x": np.arange(3)})
+
+    def test_name_length_limit_is_u16(self, tmp_path):
+        longest = "n" * 0xFFFF
+        write_tensors(tmp_path / "t.ckpt", {longest: np.zeros(1)})
+        assert list(read_tensors(tmp_path / "t.ckpt")) == [longest]
+        with pytest.raises(FormatError, match="too long"):
+            write_tensors(tmp_path / "u.ckpt", {longest + "n": np.zeros(1)})
 
     def test_empty_mapping_round_trips(self, tmp_path):
         path = tmp_path / "t.ckpt"
@@ -629,30 +637,33 @@ class TestModelCheckpoints:
     def test_optimizer_state_round_trip(self, tmp_path):
         path = tmp_path / "m.ckpt"
         src = make_params(seed=1)
-        state = AdamState.init(src)
+        state = AdamState.init(src.named_parameters())
         rng = np.random.default_rng(3)
         state.step = 17
-        for name in state.m:
-            state.m[name] = rng.standard_normal(state.m[name].shape).astype(np.float32)
-            state.v[name] = rng.random(state.v[name].shape).astype(np.float32)
+        state.m_flat[:] = rng.standard_normal(state.m_flat.shape)
+        state.v_flat[:] = rng.random(state.v_flat.shape)
         save_checkpoint(src, state, path)
+        # the file holds the moments Adam updates, named per parameter
+        saved = read_tensors(path)
+        for key, flat in (("m", state.m_flat), ("v", state.v_flat)):
+            np.testing.assert_array_equal(np.concatenate(
+                [saved[f"adam.{key}.{n}"].reshape(-1) for n, _ in src.named_parameters()]), flat)
 
         dst = make_params(seed=2)
-        dst_state = AdamState.init(dst)
+        dst_state = AdamState.init(dst.named_parameters())
         load_checkpoint(path, dst, dst_state)
         assert dst_state.step == 17
-        for name in state.m:
-            np.testing.assert_array_equal(dst_state.m[name], state.m[name])
-            np.testing.assert_array_equal(dst_state.v[name], state.v[name])
+        np.testing.assert_array_equal(dst_state.m_flat, state.m_flat)
+        np.testing.assert_array_equal(dst_state.v_flat, state.v_flat)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         src = make_params(seed=1)
-        state = AdamState.init(src)
+        state = AdamState.init(src.named_parameters())
         state.step = 3
         save_checkpoint(src, state, p1)
         dst = make_params(seed=4)
-        dst_state = AdamState.init(dst)
+        dst_state = AdamState.init(dst.named_parameters())
         load_checkpoint(p1, dst, dst_state)
         save_checkpoint(dst, dst_state, p2)
         assert p1.read_bytes() == p2.read_bytes()
@@ -669,28 +680,62 @@ class TestModelCheckpoints:
             assert t.data is arr
             np.testing.assert_array_equal(arr, want.data)
 
-    def test_failed_load_changes_nothing(self, tmp_path):
-        path = tmp_path / "m.ckpt"
+    @staticmethod
+    def _saved_with_state():
+        """The name -> array layout of a model and an Adam state at step 5."""
         src = make_params(seed=1)
-        src_state = AdamState.init(src)
+        src_state = AdamState.init(src.named_parameters())
         src_state.step = 5
         src_state.m_flat[:] = 1.0
-        tensors = {n: t.data for n, t in src.named_parameters()}
-        last = list(tensors)[-1]
-        del tensors[last]
-        tensors["adam.step"] = np.array(5.0)
-        tensors.update((f"adam.{k}.{n}", arr) for k, store in
-                       (("m", src_state.m), ("v", src_state.v)) for n, arr in store.items())
+        return C._named_arrays(src, src_state), src
+
+    @staticmethod
+    def _load_fails_and_changes_nothing(path, tensors, match):
         write_tensors(path, tensors)
         dst = make_params(seed=2)
-        dst_state = AdamState.init(dst)
+        dst_state = AdamState.init(dst.named_parameters())
+        dst_state.step = 3
         flats = ("arena", "m_flat", "v_flat")
         before = {name: getattr(dst_state, name).copy() for name in flats}
-        with pytest.raises(FormatError, match=last):
+        with pytest.raises(FormatError, match=re.escape(match)):
             load_checkpoint(path, dst, dst_state)
         for name in flats:
             np.testing.assert_array_equal(getattr(dst_state, name), before[name])
-        assert dst_state.step == 0
+        assert dst_state.step == 3
+
+    def test_failed_load_changes_nothing(self, tmp_path):
+        tensors, src = self._saved_with_state()
+        last, _ = list(src.named_parameters())[-1]
+        del tensors[last]
+        self._load_fails_and_changes_nothing(tmp_path / "m.ckpt", tensors, last)
+
+    @pytest.mark.parametrize("extra", ["adam.m.no.such.param", "adam.bogus"])
+    def test_unknown_adam_entry_changes_nothing(self, tmp_path, extra):
+        # with a state, every adam.* entry must be one the state holds
+        tensors, _ = self._saved_with_state()
+        tensors[extra] = np.ones(3, np.float32)
+        self._load_fails_and_changes_nothing(tmp_path / "m.ckpt", tensors, extra)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 2.5, 1e30, 2.0 ** 63])
+    def test_bad_adam_step_changes_nothing(self, tmp_path, bad):
+        # a CRC-valid file whose step is not a whole number in [0, 2**63)
+        tensors, _ = self._saved_with_state()
+        tensors["adam.step"] = np.array(bad)
+        self._load_fails_and_changes_nothing(tmp_path / "m.ckpt", tensors, "adam.step")
+
+    @pytest.mark.parametrize("good", [0.0, 2.0 ** 63 - 1024])
+    def test_whole_adam_step_in_range_loads(self, tmp_path, good):
+        # 2**63 - 1024 is the largest float64 under 2**63
+        path = tmp_path / "m.ckpt"
+        src = make_params(seed=1)
+        tensors = C._named_arrays(src, AdamState.init(src.named_parameters()))
+        tensors["adam.step"] = np.array(good)
+        write_tensors(path, tensors)
+        dst = make_params(seed=2)
+        dst_state = AdamState.init(dst.named_parameters())
+        dst_state.step = 3
+        load_checkpoint(path, dst, dst_state)
+        assert dst_state.step == int(good)
 
     def test_missing_tensor_named(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -734,7 +779,7 @@ class TestModelCheckpoints:
         save_checkpoint(src, None, path)
         dst = make_params(seed=2)
         with pytest.raises(FormatError, match="adam.step"):
-            load_checkpoint(path, dst, AdamState.init(dst))
+            load_checkpoint(path, dst, AdamState.init(dst.named_parameters()))
 
 
 class TestGoldenLayout:
@@ -753,7 +798,7 @@ class TestGoldenLayout:
     def test_checkpoint_bytes(self, tmp_path):
         params = self.params()
         save_checkpoint(params, None, tmp_path / "p.ckpt")
-        save_checkpoint(params, AdamState.init(params), tmp_path / "a.ckpt")
+        save_checkpoint(params, AdamState.init(params.named_parameters()), tmp_path / "a.ckpt")
         digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("p.ckpt", "a.ckpt")]
         assert digests == [

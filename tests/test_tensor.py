@@ -1,8 +1,12 @@
 """Tensor core: primitive semantics, gradients against finite differences,
 tape invariants."""
 
+import ctypes
 import inspect
+import os
 import re
+import subprocess
+import sys
 import types
 import weakref
 
@@ -180,12 +184,29 @@ class TestElementwiseAndStructural:
         expected[1:3] = 1.0
         np.testing.assert_array_equal(x.grad, expected)
 
+    def test_slice_rows_takes_any_nonempty_range_within_the_rows(self):
+        x = t64(np.arange(8.0).reshape(4, 2))
+        np.testing.assert_array_equal(T.slice_rows(x, 0, 4).data, x.data)
+        for start, stop in ((2, 2), (-1, 2), (3, 5)):
+            with pytest.raises(T.ShapeError, match=rf"\[{start}:{stop}\]"):
+                T.slice_rows(x, start, stop)
+
     def test_gather_rows_repeats_accumulate(self):
         x = t64(np.eye(3), grad=True)
         with T.Tape() as tape:
             loss = T.sum_(T.gather_rows(x, [0, 0, 2]))
         T.backward(loss, tape)
         np.testing.assert_array_equal(x.grad, [[2, 2, 2], [0, 0, 0], [1, 1, 1]])
+
+    def test_gather_rows_index_equal_to_row_count_is_shape_error(self):
+        with pytest.raises(T.ShapeError, match="out of range for 3 rows"):
+            T.gather_rows(t64(np.zeros((3, 2))), [0, 3])
+
+    def test_abs_gradient_is_zero_at_zero(self):
+        x = t64([[-2.0, 0.0, -0.0, 3.0]], grad=True)
+        with T.Tape() as tape:
+            T.backward(T.sum_(T.mul(T.abs_(x), t64([[1.5, 2.0, 4.0, -1.0]]))), tape)
+        np.testing.assert_array_equal(x.grad, [[-1.5, 0.0, 0.0, -1.0]])
 
 
 class TestDropout:
@@ -378,6 +399,15 @@ class TestNormalizeRows:
             [np.array([[1e-3, -2e-3]])])
         assert err < 1e-6
 
+    def test_small_norm_rows_gradient_is_g_over_eps(self):
+        # one row under eps and one exactly at it (0.5 squared, summed and
+        # rooted is exact); eps != 1, so g / eps differs from g * eps
+        x = t64([[0.1, -0.2], [0.5, 0.0], [3.0, 4.0]], grad=True)
+        g = np.array([[1.0, 2.0], [-3.0, 0.5], [1.0, 1.0]])
+        with T.Tape() as tape:
+            T.backward(T.sum_(T.mul(T.normalize_rows(x, eps=0.5), t64(g))), tape)
+        np.testing.assert_array_equal(x.grad[:2], g[:2] / 0.5)
+
 
 # The formulas the BLAS-sum and halving-max kernels replaced, kept as the
 # reference: float32 results may round differently, float64 agrees to 1e-12.
@@ -501,7 +531,8 @@ class TestFastKernels:
         assert np.isnan(y[1]).all()
         np.testing.assert_array_equal(y[[0, 2]], np.full((2, 5), 0.2))
 
-    @pytest.mark.parametrize("indices", [[0, 2, 3, 5], [4], [], [3, 1, 2], [2, 0, 2, 1]])
+    @pytest.mark.parametrize("indices", [[0, 2, 3, 5], [4], [], [3, 1, 2], [2, 0, 2, 1],
+                                         [1, 3, 3]])
     def test_gather_rows_backward_matches_add_at(self, indices):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 4)).astype(np.float32)
@@ -768,3 +799,44 @@ class TestMaskFolds:
             with pytest.raises(ValueError, match="probability"):
                 T.relu(x, p, rng)
         assert rng.bit_generator.state == before
+
+
+# Run in a child process, whose heap nothing else has touched: the sizes
+# from glibc's mallinfo2 around one 16 MiB allocation and its free.
+HEAP_PROBE = """
+import ctypes
+import numpy as np
+import lifthead
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes = ()
+mallinfo2.restype = MallInfo2
+before = mallinfo2()
+block = np.ones(1 << 21)
+held = mallinfo2()
+del block
+freed = mallinfo2()
+print(before.hblkhd, held.hblkhd, held.uordblks - before.uordblks, held.arena, freed.arena)
+"""
+
+
+def test_heap_policy_holds():
+    # mallopt's return value proves nothing: glibc also returns 1 for an
+    # unknown parameter number. Under the policy a 16 MiB block comes from
+    # the heap, not mmap, and freeing it hands nothing back to the kernel.
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("the C library has no mallinfo2 (glibc 2.33 or later has it)")
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    mmapped_before, mmapped_held, heap_growth, arena_held, arena_freed = map(
+        int, proc.stdout.split())
+    assert mmapped_held == mmapped_before
+    assert heap_growth >= 16 << 20
+    assert arena_freed == arena_held

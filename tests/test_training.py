@@ -59,6 +59,11 @@ class TestSchedule:
         with pytest.raises(ValueError, match="step"):
             lr_at(0, TrainConfig())
 
+    def test_smallest_warmup_and_max_lr(self):
+        assert lr_at(1, TrainConfig(warmup_steps=1, max_lr=1e-300)) == 1e-300
+        with pytest.raises(ValueError, match="max_lr must be positive"):
+            TrainConfig(max_lr=0.0)
+
     @pytest.mark.parametrize("field", ["max_lr", "w_kpt", "w_twist", "w_beta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_settings_rejected(self, field, value):
@@ -91,7 +96,7 @@ class TestAdam:
     def test_zero_gradient_is_noop_but_counts(self):
         x = named_scalar(1.25, grad=0.0)
         state = fresh_state([("x", x)])
-        adam_step([("x", x)], state, lr=0.01)
+        adam_step(state, lr=0.01)
         assert x.data[0] == 1.25
         assert state.step == 1
         assert x.grad is None
@@ -100,7 +105,7 @@ class TestAdam:
         for g in (3.7, -0.002):
             x = named_scalar(0.0, grad=g)
             state = fresh_state([("x", x)])
-            adam_step([("x", x)], state, lr=0.01)
+            adam_step(state, lr=0.01)
             assert abs(x.data[0] - (-0.01 * np.sign(g))) < 1e-6
 
     def test_quadratic_bowl_converges(self):
@@ -108,7 +113,7 @@ class TestAdam:
         state = fresh_state([("x", x)])
         for _ in range(500):
             x.grad = 2.0 * x.data
-            adam_step([("x", x)], state, lr=1e-2)
+            adam_step(state, lr=1e-2)
         assert abs(x.data[0]) < 1e-2
 
     def test_missing_gradient_names_parameter(self):
@@ -116,23 +121,25 @@ class TestAdam:
         y = named_scalar(0.0)
         state = fresh_state([("x", x), ("deep.y", y)])
         with pytest.raises(ValueError, match="deep.y"):
-            adam_step([("x", x), ("deep.y", y)], state, lr=0.01)
+            adam_step(state, lr=0.01)
 
     def test_only_parameters_with_signal_move(self):
         x = named_scalar(1.0, grad=0.5)
         y = named_scalar(2.0, grad=0.0)
         state = fresh_state([("x", x), ("y", y)])
-        adam_step([("x", x), ("y", y)], state, lr=0.01)
+        adam_step(state, lr=0.01)
         assert x.data[0] != 1.0
         assert y.data[0] == 2.0
 
     def test_state_init_mirrors_shapes(self):
         params = M.init_head(tiny_cfg(), np.random.default_rng(0))
-        state = AdamState.init(params)
-        for name, t in params.named_parameters():
-            assert state.m[name].shape == t.shape
-            assert state.v[name].shape == t.shape
-            assert not state.m[name].any()
+        named = list(params.named_parameters())
+        state = AdamState.init(named)
+        assert [(n, id(t)) for n, t in state.named] == [(n, id(t)) for n, t in named]
+        for (_, t), view in zip(named, state.views):
+            assert t.data is view
+        assert state.m_flat.shape == state.v_flat.shape == (params.parameter_count(),)
+        assert not state.m_flat.any() and not state.v_flat.any()
 
 
 def per_tensor_adam(data, grads, m, v, step, lr):
@@ -191,21 +198,23 @@ class TestFlatAdam:
         data = {n: t.data.copy() for n, t in params.named_parameters()}
         m = {n: np.zeros_like(a) for n, a in data.items()}
         v = {n: np.zeros_like(a) for n, a in data.items()}
-        state = AdamState.init(params)
+        state = AdamState.init(params.named_parameters())
         rng = np.random.default_rng(1)
         for step in range(1, 6):
             grads = random_grads(params, rng)
             set_grads(params, grads)
             lr = lr_at(step, TrainConfig(warmup_steps=3, max_lr=1e-2))
-            adam_step(params.named_parameters(), state, lr)
+            adam_step(state, lr)
             per_tensor_adam(data, grads, m, v, step, lr)
         assert state.step == 5
         for name, t in params.named_parameters():
             assert t.data.dtype == dtype
             np.testing.assert_array_equal(t.data, data[name])
-            np.testing.assert_array_equal(state.m[name], m[name])
-            np.testing.assert_array_equal(state.v[name], v[name])
             assert t.grad is None
+        np.testing.assert_array_equal(state.m_flat, np.concatenate(
+            [a.reshape(-1) for a in m.values()]))
+        np.testing.assert_array_equal(state.v_flat, np.concatenate(
+            [a.reshape(-1) for a in v.values()]))
 
     @with_workers_and_dtypes("bad", [np.nan, np.inf])
     def test_non_finite_gradient_touches_nothing(self, monkeypatch, bad, workers, dtype):
@@ -213,17 +222,17 @@ class TestFlatAdam:
         monkeypatch.setattr(W, "CPUS", workers)
         monkeypatch.setattr(W, "POOL_BYTES", 0)
         params = M.init_head(tiny_cfg(), np.random.default_rng(0), dtype=dtype)
-        state = AdamState.init(params)
+        state = AdamState.init(params.named_parameters())
         rng = np.random.default_rng(2)
         set_grads(params, random_grads(params, rng))
-        adam_step(params.named_parameters(), state, 1e-3)
+        adam_step(state, 1e-3)
         set_grads(params, random_grads(params, rng))
         # in the last chunk handed out
         target, t = list(params.named_parameters())[-1]
         t.grad[-1] = bad
         before = flat_snapshot(state)
         with pytest.raises(TrainingAborted, match=f"step 2: parameter {target}") as exc:
-            adam_step(params.named_parameters(), state, 1e-3)
+            adam_step(state, 1e-3)
         assert exc.value.parameter == target and exc.value.step == 2
         assert state.step == 1
         for was, now in zip(before, flat_snapshot(state)):
@@ -235,14 +244,14 @@ class TestFlatAdam:
         monkeypatch.setattr(W, "CPUS", 3)
         monkeypatch.setattr(W, "POOL_BYTES", 0)
         params = M.init_head(tiny_cfg(), np.random.default_rng(0))
-        state = AdamState.init(params)
+        state = AdamState.init(params.named_parameters())
         set_grads(params, random_grads(params, np.random.default_rng(2)))
         named = dict(params.named_parameters())
         target = "blocks.1.ffn_3d.layers.2.weight"
         named[target].grad[3, 4] = np.nan
         named["proj_beta.bias"].grad[0] = np.inf
         with pytest.raises(TrainingAborted, match=f"parameter {target}"):
-            adam_step(params.named_parameters(), state, 1e-3)
+            adam_step(state, 1e-3)
 
     def test_arena_under_the_pool_gate_runs_on_the_caller(self, monkeypatch):
         # 1 MiB is 4 chunks: with two CPUs the update starts no pool, and
@@ -257,7 +266,7 @@ class TestFlatAdam:
             assert len(state.chunks) == 4 and state.arena.nbytes < W.POOL_BYTES
             for _ in range(3):
                 t.grad = rng.standard_normal(t.shape).astype(np.float32)
-                adam_step([("w", t)], state, 1e-3)
+                adam_step(state, 1e-3)
             assert W._pool is None
             snapshots.append(flat_snapshot(state))
         for one, two in zip(*snapshots):
@@ -265,12 +274,12 @@ class TestFlatAdam:
 
     def test_rebound_parameter_is_named(self):
         params = M.init_head(tiny_cfg(), np.random.default_rng(0))
-        state = AdamState.init(params)
+        state = AdamState.init(params.named_parameters())
         for _, t in params.named_parameters():
             t.grad = np.zeros_like(t.data)
         params.proj_beta.bias.data = params.proj_beta.bias.data.copy()
         with pytest.raises(ValueError, match="proj_beta.bias"):
-            adam_step(params.named_parameters(), state, 1e-3)
+            adam_step(state, 1e-3)
 
     def test_train_leaves_parameters_in_one_buffer(self):
         _, params, result = small_run(epochs=2)
@@ -302,14 +311,14 @@ class TestFlatAdam:
     def test_checkpoint_load_keeps_the_arena(self, tmp_path):
         import lifthead.checkpoint as C
         params = M.init_head(tiny_cfg(), np.random.default_rng(0))
-        state = AdamState.init(params)
+        state = AdamState.init(params.named_parameters())
         rng = np.random.default_rng(3)
         set_grads(params, random_grads(params, rng))
-        adam_step(params.named_parameters(), state, 1e-3)
+        adam_step(state, 1e-3)
         C.save_checkpoint(params, state, tmp_path / "s.ckpt")
 
         other = M.init_head(tiny_cfg(), np.random.default_rng(5))
-        other_state = AdamState.init(other)
+        other_state = AdamState.init(other.named_parameters())
         C.load_checkpoint(tmp_path / "s.ckpt", other, other_state)
         np.testing.assert_array_equal(other_state.arena, state.arena)
         np.testing.assert_array_equal(other_state.m_flat, state.m_flat)
@@ -318,8 +327,8 @@ class TestFlatAdam:
         grads = random_grads(params, rng)
         set_grads(params, grads)
         set_grads(other, grads)
-        adam_step(params.named_parameters(), state, 1e-3)
-        adam_step(other.named_parameters(), other_state, 1e-3)
+        adam_step(state, 1e-3)
+        adam_step(other_state, 1e-3)
         np.testing.assert_array_equal(other_state.arena, state.arena)
 
 
@@ -362,6 +371,9 @@ class TestAugmentation:
         p = (16 + n) / 2 / n
         sigma = math.sqrt(p * (1 - p) / trials)
         assert np.abs(hits / trials - p).max() < 4 * sigma
+
+    def test_floor_of_one_is_allowed(self):
+        assert TR.min_keep_patches(64, TrainConfig(min_keep_patches=1)) == 1
 
     @pytest.mark.parametrize("bad", [0, -1, 65])
     def test_invalid_floor_rejected(self, bad):
@@ -960,6 +972,19 @@ class TestEvaluate:
                                          out.beta.data)
         metrics = TR.evaluate(head_cfg, params, [(feats, target)])
         assert abs(metrics["keypoint_mse"] - 0.01) < 1e-6
+
+    def test_known_rotation_twist_error(self):
+        # every target twist is the predicted one turned by 120 degrees
+        head_cfg = tiny_cfg()
+        params = M.init_head(head_cfg, np.random.default_rng(3), dtype=np.float32)
+        feats = Tensor(np.random.default_rng(0)
+                       .standard_normal((16, 32)).astype(np.float32))
+        out = M.forward(head_cfg, params, feats)
+        c, s = np.cos(np.radians(120.0)), np.sin(np.radians(120.0))
+        turned = out.twists.data @ np.array([[c, s], [-s, c]], dtype=np.float32)
+        target = pose_output_from_arrays(out.keypoints.data, turned, out.beta.data)
+        metrics = TR.evaluate(head_cfg, params, [(feats, target)])
+        assert abs(metrics["twist_angular_error_deg"] - 120.0) < 1e-3
 
 
 def blas_key():

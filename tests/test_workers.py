@@ -104,7 +104,7 @@ def test_each_profile_job_sits_on_one_side_of_the_gate(profile, tmp_path):
         # holds the payload and the headers
         assert min(arena, draws) >= W.POOL_BYTES
         return
-    state = AdamState.init(params)
+    state = AdamState.init(params.named_parameters())
     save_checkpoint(params, state, tmp_path / "epoch.ckpt")
     save_checkpoint(params, None, tmp_path / "averaged.ckpt")
     files = [p.stat().st_size for p in tmp_path.iterdir()]
