@@ -7,16 +7,17 @@ grid, plus optional Gaussian noise. Features are therefore an exact linear
 function of the targets at noise zero, which makes near-zero training loss an
 achievable goal and a meaningful health signal for the whole head.
 
-The mixing map depends only on (seed, n_patches, c_in). The last one drawn
-is kept, read-only, in a one-entry cache, so the generate() calls of a
-set-up, a training run or a serving process draw it once while their key
-stays the same. The cache holds 32 MB at the paper profile (128 x 64*512
-float64) for the life of the process; a new key replaces it.
+The mixing map depends only on (seed, n_patches, c_in). Maps are kept,
+read-only, in a cache ordered by recent use and bounded by MAP_CACHE_BYTES:
+the map last asked for always stays, and older ones stay while all of them
+fit. A tiny set-up that alternates its training and held-out keys (two
+512 KiB maps) therefore draws neither again, while at the paper profile one
+map (128 x 64*512 float64, 32 MiB) fills the budget, so the process keeps
+only the last one drawn, for its life.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -55,16 +56,27 @@ class SyntheticGen:
     def mixing_map(self) -> np.ndarray:
         """The fixed (TARGET_DIM, n_patches*c_in) linear map, seed-determined;
         read-only, and shared with every generator of the same key while it
-        is the cached one."""
+        is cached."""
         return _mixing_map(self.seed, self.n_patches, self.c_in)
 
 
-@functools.lru_cache(maxsize=1)
+MAP_CACHE_BYTES = 32 << 20  # one paper-profile map; the newest stays even if larger
+_maps: dict[tuple[int, int, int], np.ndarray] = {}  # least recently used first
+
+
 def _mixing_map(seed: int, n_patches: int, c_in: int) -> np.ndarray:
-    rng = np.random.default_rng((seed, 0xA11CE))
-    a = rng.standard_normal((TARGET_DIM, n_patches * c_in))
-    a /= np.sqrt(TARGET_DIM)
-    a.flags.writeable = False
+    key = (seed, n_patches, c_in)
+    a = _maps.pop(key, None)
+    if a is None:
+        # make room before the draw, so an evicted map is freed first
+        need = TARGET_DIM * n_patches * c_in * 8
+        while _maps and need + sum(m.nbytes for m in _maps.values()) > MAP_CACHE_BYTES:
+            del _maps[next(iter(_maps))]
+        rng = np.random.default_rng((seed, 0xA11CE))
+        a = rng.standard_normal((TARGET_DIM, n_patches * c_in))
+        a /= np.sqrt(TARGET_DIM)
+        a.flags.writeable = False
+    _maps[key] = a
     return a
 
 

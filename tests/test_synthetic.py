@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifthead import synthetic
 from lifthead.model import pose_output_from_arrays
 from lifthead.synthetic import (BETA_DIM, KEYPOINT_STD, KPT_WIDTH, N_JOINTS, N_TWISTS,
                                 TARGET_DIM, SyntheticGen, flatten_pose, generate,
@@ -71,6 +72,16 @@ class TestGeneratorBasics:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             small_gen(seed=-1)
 
+    @pytest.mark.parametrize("n_patches, c_in", [(1, TARGET_DIM), (TARGET_DIM, 1), (2, 64)])
+    def test_smallest_accepted_feature_sizes(self, n_patches, c_in):
+        """One patch, one channel, and exactly TARGET_DIM features are allowed."""
+        g = small_gen(n_patches=n_patches, c_in=c_in)
+        assert np.linalg.matrix_rank(g.mixing_map()) == TARGET_DIM
+        assert generate(1, g)[0][0].shape == (n_patches, c_in)
+        for bad in (dict(n_patches=0), dict(c_in=0)):
+            with pytest.raises(ValueError, match="positive"):
+                small_gen(**{"n_patches": n_patches, "c_in": c_in, **bad})
+
 
 class TestMixingMap:
     def test_fixed_given_seed(self):
@@ -99,7 +110,16 @@ class TestMixingMap:
             b = other.mixing_map()
             assert b is not a
             assert b.shape == (TARGET_DIM, other.n_patches * other.c_in)
-        assert small_gen(seed=5).mixing_map() is not a  # the cache holds one map
+        assert small_gen(seed=5).mixing_map() is a  # all four fit in MAP_CACHE_BYTES
+
+    def test_alternating_small_keys_draw_once(self):
+        """A tiny set-up asks for its training map, then its held-out map."""
+        train, held = small_gen(seed=3), small_gen(seed=4)
+        a, b = train.mixing_map(), held.mixing_map()
+        for _ in range(3):
+            assert train.mixing_map() is a
+            assert held.mixing_map() is b
+        assert not a.flags.writeable and not b.flags.writeable
 
     def test_cached_bytes_equal_an_uncached_draw(self):
         g = small_gen(seed=7)
@@ -108,6 +128,50 @@ class TestMixingMap:
         drawn = rng.standard_normal((TARGET_DIM, 16 * 32))
         drawn /= np.sqrt(TARGET_DIM)
         assert g.mixing_map().tobytes() == drawn.tobytes()
+
+
+MAP_BYTES = TARGET_DIM * 16 * 32 * 8  # one small_gen() map
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    monkeypatch.setattr(synthetic, "_maps", {})
+
+
+@pytest.mark.usefixtures("empty_cache")
+class TestMapCacheBudget:
+    """The newest map always stays; older ones only while all fit."""
+
+    def test_over_budget_keeps_only_the_newest(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "MAP_CACHE_BYTES", 2 * MAP_BYTES - 1)
+        a = small_gen(seed=3).mixing_map()
+        b = small_gen(seed=4).mixing_map()
+        assert list(synthetic._maps.values()) == [b]
+        again = small_gen(seed=3).mixing_map()
+        assert again is not a
+        assert again.tobytes() == a.tobytes()
+        assert not again.flags.writeable
+        assert list(synthetic._maps) == [(3, 16, 32)]
+
+    def test_exact_fit_keeps_both_and_evicts_the_least_recent(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "MAP_CACHE_BYTES", 2 * MAP_BYTES)
+        a = small_gen(seed=3).mixing_map()
+        b = small_gen(seed=4).mixing_map()
+        assert small_gen(seed=3).mixing_map() is a  # now the most recent
+        small_gen(seed=5).mixing_map()
+        assert list(synthetic._maps) == [(3, 16, 32), (5, 16, 32)]
+        assert small_gen(seed=3).mixing_map() is a
+        assert small_gen(seed=4).mixing_map() is not b
+
+    def test_a_map_larger_than_the_budget_is_still_kept(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "MAP_CACHE_BYTES", MAP_BYTES // 2)
+        small_gen(seed=3).mixing_map()
+        a = small_gen(seed=4).mixing_map()
+        assert small_gen(seed=4).mixing_map() is a
+        assert list(synthetic._maps) == [(4, 16, 32)]
+
+    def test_budget_is_one_paper_map(self):
+        assert synthetic.MAP_CACHE_BYTES == TARGET_DIM * 64 * 512 * 8
 
 
 class TestFlattening:

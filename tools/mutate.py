@@ -29,6 +29,9 @@ SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mul
 
 # mutant -> why no test can, or should, tell it from the module as written
 EQUIVALENT = {
+    "synthetic.py: generate: gen.noise_sigma > 0 -> gen.noise_sigma >= 0":
+        "at sigma 0 the noise stream, which nothing else reads, draws exact "
+        "zeros, and adding +0.0 changes no nonzero feature",
     "tensor.py: Tensor.item: -1 -> +1":
         "item() reads a 1-element array, which reshape(1) takes as well",
     "tensor.py: _row_max: w < _TRANSPOSED_MAX_BELOW -> w <= _TRANSPOSED_MAX_BELOW":
