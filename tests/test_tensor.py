@@ -56,6 +56,39 @@ class TestMatmul:
         np.testing.assert_allclose(w.grad, sum(a.data[i].T @ np.ones((3, 5)) for i in range(2)),
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("a_shape, k", [
+        ((688, 512), 512), ((768, 512), 512), ((2, 344, 512), 512),  # through the view
+        ((256, 32), 32), ((256, 63), 63), ((256, 64), 64), ((256, 65), 65)])  # about the cut
+    def test_input_gradient_is_the_product_with_a_copied_transpose(self, a_shape, k):
+        rng = np.random.default_rng(k)
+        a = T.Tensor(rng.standard_normal(a_shape, dtype=np.float32), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((k, k), dtype=np.float32), requires_grad=True)
+        g = rng.standard_normal(a_shape[:-1] + (k,), dtype=np.float32)
+        with T.Tape() as tape:
+            T.matmul(a, w)
+        da, dw = tape.entries[0].backward_fn(g)
+        assert da.tobytes() == (g @ np.ascontiguousarray(w.data.T)).tobytes()
+        assert dw.tobytes() == (a.data.reshape(-1, k).T @ g.reshape(-1, k)).tobytes()
+
+    def test_weight_view_cut_splits_tiny_from_paper(self):
+        # tiny's weights keep the copy, which is faster there; every paper
+        # d x d weight goes through the view
+        from lifthead import model as M
+        from lifthead.cli import FIELDS, PROFILES, head_config
+        assert T._WEIGHT_VIEW_FROM == 16 << 10
+
+        def head_arrays(profile):
+            hc = head_config({**{f.name: f.default for f in FIELDS}, **PROFILES[profile]})
+            return hc.d, [t.data for _, t in M.allocate_head(hc, []).named_parameters()]
+
+        _, tiny = head_arrays("tiny")
+        d, paper = head_arrays("paper")
+        tiny = [w for w in tiny if w.ndim == 2]
+        paper = [w for w in paper if w.shape == (d, d)]
+        assert len(tiny) > 40 and len(paper) > 100
+        assert all(w.nbytes < T._WEIGHT_VIEW_FROM for w in tiny)
+        assert all(w.nbytes >= T._WEIGHT_VIEW_FROM for w in paper)
+
     def test_leading_dims_must_match(self):
         with pytest.raises(T.ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
             T.matmul(t64(np.zeros((2, 3, 4))), t64(np.zeros((3, 4, 5))))

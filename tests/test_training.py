@@ -938,6 +938,67 @@ class TestTapeLiveness:
         assert len(tapes) == 4 and live == [0, 0, 0, 0]
 
 
+class TestFirstGradientKept:
+    """accumulate_grad keeps a parameter's first gradient as the backward
+    returned it, so no backward may write into an array once it is handed
+    out: not into the adjoint it is given, nor into a gradient it returned."""
+
+    @staticmethod
+    def tiny_step(dropout, probe=None):
+        """One tiny-profile train() step, with probe(mp) applied first if
+        given; the parameters' gradients as Adam receives them, and the
+        digest of the parameters after the step."""
+        from lifthead import cli
+        cfg = {f.name: f.default for f in cli.FIELDS}
+        cfg.update(cli.PROFILES["tiny"], epochs=1, dropout=dropout)
+        head_cfg, train_cfg, gen = cli.build(cfg)
+        params = M.init_head(head_cfg, np.random.default_rng(train_cfg.seed))
+        grads, real_adam_step = [], TR.adam_step
+
+        def adam_step(state, lr):
+            grads.extend((name, t.grad) for name, t in state.named)
+            return real_adam_step(state, lr)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TR, "adam_step", adam_step)
+            if probe is not None:
+                probe(mp)
+            result = train(head_cfg, params, generate(train_cfg.batch_size, gen), train_cfg)
+        assert len(result.metrics) == 1
+        return grads, params_digest(result.last_params)
+
+    @staticmethod
+    def read_only_backward(mp):
+        """Every backward_fn gets a read-only adjoint, and every gradient it
+        returns is made read-only, so a later write into either raises."""
+        real_record = Tape.record
+
+        def freeze(a):
+            if isinstance(a, np.ndarray):  # not None; a numpy scalar is immutable
+                a.flags.writeable = False
+
+        def record(self, out, inputs, backward_fn):
+            def probed(g):
+                freeze(g)
+                grads = backward_fn(g)
+                for gi in grads:
+                    freeze(gi)
+                return grads
+            real_record(self, out, inputs, probed)
+
+        mp.setattr(Tape, "record", record)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_no_backward_writes_what_it_handed_out(self, dropout):
+        grads, digest = self.tiny_step(dropout, self.read_only_backward)
+        assert self.tiny_step(dropout)[1] == digest
+        assert len(grads) == 95 and all(g is not None for _, g in grads)
+        assert not any(g.flags.writeable for _, g in grads)
+        for i, (name, g) in enumerate(grads):
+            for other, h in grads[i + 1:]:
+                assert not np.shares_memory(g, h), (name, other)
+
+
 class TestMetricsText:
     def test_format(self):
         text = metrics_to_text([StepMetrics(1, 0, 5e-4, 0.25, 12.5),

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,6 +34,24 @@ def test_every_chunk_goes_to_exactly_one_call(monkeypatch):
     assert calls[0][0] == threading.get_ident()
     assert sorted(k for _, ks in calls for k in ks) == list(range(20_000))
     assert all(not t.is_alive() for t in pool._threads)
+
+
+def test_pool_has_a_thread_per_cpu_besides_the_caller(monkeypatch):
+    made = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(W, "CPUS", 3)
+    monkeypatch.setattr(W, "_pool", None)
+    monkeypatch.setattr(W, "ThreadPoolExecutor", Recording)
+    try:
+        assert W.run_all([lambda: 0, lambda: 1, lambda: 2], W.POOL_BYTES) == [0, 1, 2]
+    finally:
+        W._pool.shutdown(wait=True)
+    assert made == [2]  # the caller runs the third call
 
 
 def test_one_chunk_runs_on_the_caller(monkeypatch):
