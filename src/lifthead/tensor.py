@@ -295,15 +295,6 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 # primitives
 # ---------------------------------------------------------------------------
 
-# matmul's backward multiplies by a 2-D weight of at least this many bytes
-# through its transposed view, and copies a smaller one first: the same bits
-# either way. float32, OpenBLAS 0.3.31 on 2 threads, copy against view: 5.4
-# against 7.5 us at (256, 32) x (32, 32) (4 KiB), 11.3 against 13.3 us at
-# (256, 48) x (48, 48), 21.6 against 18.5 us at (256, 64) x (64, 64)
-# (16 KiB), 2.7 against 1.7 ms at (768, 512) x (512, 512) (1 MiB).
-_WEIGHT_VIEW_FROM = 16 << 10
-
-
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Matrix product over the last two axes, plus an optional bias.
 
@@ -335,8 +326,11 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
         def bwd(g):
             g2 = g.reshape(-1, n)
-            bt = bd.T if bd.nbytes >= _WEIGHT_VIEW_FROM else np.ascontiguousarray(bd.T)
-            grads = (g @ bt, ad.reshape(-1, k).T @ g2)
+            # b.T is read in place, bit for bit the product with a contiguous
+            # copy on OpenBLAS 0.3.31; float32, 2 threads: the view takes 1.7
+            # ms and the copy 2.7 ms at (768, 512) x (512, 512), while at
+            # tiny's (256, 32) x (32, 32) the view is about 2 us slower
+            grads = (g @ bd.T, ad.reshape(-1, k).T @ g2)
             return grads + (_col_sums(g2),) if has_bias else grads
     else:
         def bwd(g):

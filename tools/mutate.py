@@ -36,9 +36,6 @@ EQUIVALENT = {
         "item() reads a 1-element array, which reshape(1) takes as well",
     "tensor.py: _row_max: w < _TRANSPOSED_MAX_BELOW -> w <= _TRANSPOSED_MAX_BELOW":
         "both row-max paths give the same bits; the cut only picks the faster",
-    "tensor.py: matmul.bwd: bd.nbytes >= _WEIGHT_VIEW_FROM -> bd.nbytes > _WEIGHT_VIEW_FROM":
-        "the product through the transposed view and through its copy give the "
-        "same bits; the cut only picks the faster",
     "tensor.py: _keep_mask: 0.0 <= p < 1.0 -> 0.0 < p < 1.0":
         "dropout and relu return before calling it at p = 0",
     "tensor.py: _keep_mask: rng.random(x.shape) >= p -> rng.random(x.shape) > p":
