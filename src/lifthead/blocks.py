@@ -162,8 +162,7 @@ def init_params(fan_in: int, fan_out: int, jobs: list,
                         bias=Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True))
 
 
-def init_mha(d: int, h: int, jobs: list, scale_dim: int | None = None,
-             dtype=T.DEFAULT_DTYPE) -> MHAParams:
+def init_mha(d: int, h: int, jobs: list, scale_dim: int, dtype=T.DEFAULT_DTYPE) -> MHAParams:
     """Zero biases and empty weights, with the per-head Xavier draws (q, k,
     v of head 0, then of head 1, ...), each d -> d/h into head i's columns
     of the fused projections, then the output projection's, appended to
@@ -176,7 +175,7 @@ def init_mha(d: int, h: int, jobs: list, scale_dim: int | None = None,
                             bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True))
                for w in weights)
     return MHAParams(q=q, k=k, v=v, out=init_params(d, d, jobs, dtype), h=h,
-                     scale_dim=scale_dim if scale_dim is not None else d)
+                     scale_dim=scale_dim)
 
 
 def init_ffn(d: int, jobs: list, dtype=T.DEFAULT_DTYPE) -> FFNParams:

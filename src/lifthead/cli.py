@@ -33,9 +33,8 @@ from .efficiency import DeconvConfig, efficiency_report
 
 log = logging.getLogger("lifthead.cli")
 
-# offset so eval draws a split disjoint from the training stream; the seed
-# also seeds SyntheticGen.mixing_map, so eval scores features made by another
-# linear map than the one trained on (ROADMAP item 4)
+# offset so eval draws a sample stream disjoint from the training one; the
+# mixing map depends on the feature shape alone, so both streams share it
 HELDOUT_SEED_OFFSET = 1
 
 

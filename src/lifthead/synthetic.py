@@ -7,13 +7,12 @@ grid, plus optional Gaussian noise. Features are therefore an exact linear
 function of the targets at noise zero, which makes near-zero training loss an
 achievable goal and a meaningful health signal for the whole head.
 
-The mixing map depends only on (seed, n_patches, c_in). Maps are kept,
-read-only, in a cache ordered by recent use and bounded by MAP_CACHE_BYTES:
-the map last asked for always stays, and older ones stay while all of them
-fit. A tiny set-up that alternates its training and held-out keys (two
-512 KiB maps) therefore draws neither again, while at the paper profile one
-map (128 x 64*512 float64, 32 MiB) fills the budget, so the process keeps
-only the last one drawn, for its life.
+The mixing map depends only on the feature shape (n_patches, c_in), so a
+held-out split, which differs from its training split only in the seed,
+draws fresh samples through the map the head was trained on. The map of the
+shape last asked for is kept, read-only, and shared: a process that asks for
+one shape draws it once, and one that changes shape frees the old map
+before it draws the new one.
 """
 
 from __future__ import annotations
@@ -31,11 +30,13 @@ KPT_WIDTH, TWIST_WIDTH = HeadConfig.kpt_width, HeadConfig.twist_width
 TARGET_DIM = HeadConfig.pose_dim
 KEYPOINT_STD = 0.3  # spread of every sampled keypoint coordinate
 FEATURE_CHUNK = 16  # samples per feature pass; bounds its float64 temporaries
+_maps: dict[tuple[int, int], np.ndarray] = {}  # the last feature shape's map only
 
 
 @dataclass
 class SyntheticGen:
-    """Deterministic generator configuration; same seed, same dataset."""
+    """Deterministic generator configuration; same seed, same dataset. The
+    seed picks the samples and the noise, not the mixing map."""
     seed: int = 0
     n_patches: int = 64
     c_in: int = 512
@@ -54,30 +55,18 @@ class SyntheticGen:
                 f"{TARGET_DIM}-dim target (mixing map would lose rank)")
 
     def mixing_map(self) -> np.ndarray:
-        """The fixed (TARGET_DIM, n_patches*c_in) linear map, seed-determined;
-        read-only, and shared with every generator of the same key while it
-        is cached."""
-        return _mixing_map(self.seed, self.n_patches, self.c_in)
-
-
-MAP_CACHE_BYTES = 32 << 20  # one paper-profile map; the newest stays even if larger
-_maps: dict[tuple[int, int, int], np.ndarray] = {}  # least recently used first
-
-
-def _mixing_map(seed: int, n_patches: int, c_in: int) -> np.ndarray:
-    key = (seed, n_patches, c_in)
-    a = _maps.pop(key, None)
-    if a is None:
-        # make room before the draw, so an evicted map is freed first
-        need = TARGET_DIM * n_patches * c_in * 8
-        while _maps and need + sum(m.nbytes for m in _maps.values()) > MAP_CACHE_BYTES:
-            del _maps[next(iter(_maps))]
-        rng = np.random.default_rng((seed, 0xA11CE))
-        a = rng.standard_normal((TARGET_DIM, n_patches * c_in))
-        a /= np.sqrt(TARGET_DIM)
-        a.flags.writeable = False
-    _maps[key] = a
-    return a
+        """The fixed (TARGET_DIM, n_patches*c_in) linear map of this feature
+        shape, whatever the seed; read-only, and shared with every generator
+        of the same shape while it is kept."""
+        key = (self.n_patches, self.c_in)
+        if key not in _maps:
+            _maps.clear()  # free the old shape's map before the draw
+            a = np.random.default_rng((0, 0xA11CE)).standard_normal(
+                (TARGET_DIM, self.n_patches * self.c_in))
+            a /= np.sqrt(TARGET_DIM)
+            a.flags.writeable = False
+            _maps[key] = a
+        return _maps[key]
 
 
 def flatten_pose(pose: PoseOutput) -> np.ndarray:

@@ -120,15 +120,16 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add g to .grad, which takes the first g as given (cast only to a new dtype)."""
+        """Add g to .grad, which takes the first g as given (cast only to a new
+        dtype); .grad stays an ndarray where a 0-d g or sum is a numpy scalar."""
         if g.shape != self.data.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} does not match tensor shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=False)
+            self.grad = np.asarray(g, self.data.dtype)
         else:
-            self.grad = self.grad + g
+            self.grad = np.asarray(self.grad + g)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"

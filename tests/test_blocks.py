@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifthead import blocks as B
+from lifthead import model as M
 from lifthead import tensor as T
 from lifthead.gradcheck import check_op
 
@@ -117,7 +118,7 @@ class TestMultiHeadAttention:
 
     def test_output_shape(self):
         rng = np.random.default_rng(6)
-        p = drawn(rng, B.init_mha, d=8, h=2, dtype=np.float64)
+        p = drawn(rng, B.init_mha, d=8, h=2, scale_dim=8, dtype=np.float64)
         out = B.multi_head_attention(p, t64(rng.normal(size=(5, 8))),
                                      t64(rng.normal(size=(7, 8))),
                                      t64(rng.normal(size=(7, 8))))
@@ -126,7 +127,7 @@ class TestMultiHeadAttention:
     def test_matches_per_head_loop_oracle(self):
         d, h = 8, 2
         rng = np.random.default_rng(7)
-        p = drawn(rng, B.init_mha, d=d, h=h, dtype=np.float64)
+        p = drawn(rng, B.init_mha, d=d, h=h, scale_dim=d, dtype=np.float64)
         # break the zero-bias symmetry so the oracle exercises biases too
         for lp in (p.q, p.k, p.v, p.out):
             lp.bias.data = rng.normal(size=d)
@@ -140,7 +141,7 @@ class TestMultiHeadAttention:
     def test_batched_matches_per_sample_oracle(self, h, dk, batch, m, n, seed):
         d = h * dk
         rng = np.random.default_rng(seed)
-        p = drawn(rng, B.init_mha, d=d, h=h, dtype=np.float64)
+        p = drawn(rng, B.init_mha, d=d, h=h, scale_dim=d, dtype=np.float64)
         for lp in (p.q, p.k, p.v, p.out):
             lp.bias.data = rng.normal(size=d)
         q = rng.normal(size=(batch, m, d))
@@ -151,14 +152,14 @@ class TestMultiHeadAttention:
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
 
     def test_rows_must_split_into_samples(self):
-        p = drawn(np.random.default_rng(0), B.init_mha, d=4, h=2, dtype=np.float64)
+        p = drawn(np.random.default_rng(0), B.init_mha, d=4, h=2, scale_dim=4, dtype=np.float64)
         x = t64(np.zeros((5, 4)))
         with pytest.raises(T.ShapeError, match="samples"):
             B.multi_head_attention(p, x, x, x, batch=2)
 
     def test_fused_init_is_concatenated_per_head_draws(self):
         d, h = 12, 3
-        got = drawn(np.random.default_rng(3), B.init_mha, d=d, h=h)
+        got = drawn(np.random.default_rng(3), B.init_mha, d=d, h=h, scale_dim=d)
         rng = np.random.default_rng(3)
         heads = [[drawn(rng, B.init_params, d, d // h) for _ in range(3)] for _ in range(h)]
         out = drawn(rng, B.init_params, d, d)
@@ -170,14 +171,18 @@ class TestMultiHeadAttention:
         np.testing.assert_array_equal(got.out.weight.data, out.weight.data)
 
     def test_scale_dim_defaults_to_model_width(self):
-        p = drawn(np.random.default_rng(0), B.init_mha, d=8, h=2)
-        assert p.scale_dim == 8
-        p2 = drawn(np.random.default_rng(0), B.init_mha, d=8, h=2, scale_dim=4)
-        assert p2.scale_dim == 4
+        """HeadConfig turns attn_scale_dim None into d; every attention of
+        the head gets its scale_dim, unset or set."""
+        for attn_scale_dim, want in ((None, 8), (4, 4)):
+            cfg = M.HeadConfig(L=2, h=2, d=8, n_patches=4, c_in=4,
+                               attn_scale_dim=attn_scale_dim)
+            blocks = M.allocate_head(cfg, []).blocks
+            assert [p.scale_dim for b in blocks
+                    for p in (b.mha_2d, b.mha_3d, b.mha_cross)] == [want] * 6
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(T.ShapeError):
-            drawn(np.random.default_rng(0), B.init_mha, d=8, h=3)
+            drawn(np.random.default_rng(0), B.init_mha, d=8, h=3, scale_dim=8)
 
 
 class TestFeedForward:

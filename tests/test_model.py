@@ -109,6 +109,12 @@ class TestHeadConfig:
     def test_scale_dim_override(self):
         assert HeadConfig(attn_scale_dim=64).scale_dim == 64
 
+    def test_pose_dim_counts_every_output_value(self):
+        cfg = tiny_cfg()
+        out = M.forward(cfg, make_head(cfg), rand_features(cfg))
+        sizes = [t.data.size for t in (out.keypoints, out.twists, out.beta)]
+        assert HeadConfig.pose_dim == sum(sizes) == 24 * 3 + 23 * 2 + 10
+
     @pytest.mark.parametrize("field,value", [
         ("L", 0), ("h", -1), ("d", 0), ("n_patches", 0), ("dropout", 1.0),
     ])
@@ -337,6 +343,20 @@ class TestOutputs:
             M.project_outputs(e, kpt, zero, beta)
         out = M.project_outputs(e, kpt, zero, beta, training=True)
         assert np.isfinite(out.twists.data).all()
+
+    def test_twist_norm_at_the_floor_is_not_degenerate(self):
+        cfg = tiny_cfg()
+        e = Tensor(np.zeros((48, cfg.d)))
+        kpt = B.LinearParams(Tensor(np.zeros((cfg.d, 3))), Tensor(np.zeros(3)))
+        beta = B.LinearParams(Tensor(np.zeros((cfg.d, 10))), Tensor(np.zeros(10)))
+
+        def twist(norm):  # every twist row is (norm, 0)
+            return B.LinearParams(Tensor(np.zeros((cfg.d, 2))), Tensor(np.array([norm, 0.0])))
+
+        out = M.project_outputs(e, kpt, twist(M.TWIST_NORM_FLOOR), beta)
+        np.testing.assert_array_equal(out.twists.data[:, 0], 1.0)
+        with pytest.raises(NormalizationDegenerateError, match="norm"):
+            M.project_outputs(e, kpt, twist(np.nextafter(M.TWIST_NORM_FLOOR, 0.0)), beta)
 
     def test_patch_subset_matches_manual_subset(self):
         cfg = tiny_cfg(n_patches=5)
@@ -948,7 +968,7 @@ class TestSplitDraws:
         rng, want_rng = self.generator(kind, seed, 1), self.generator(kind, seed, 1)
         with pytest.MonkeyPatch.context() as mp:
             self.split_forced(mp, parts, 2)
-            mha = drawn(rng, B.init_mha, d, h, dtype=dtype)
+            mha = drawn(rng, B.init_mha, d, h, scale_dim=d, dtype=dtype)
             ffn = drawn(rng, B.init_ffn, d, dtype=dtype)
         # head i's q, k, v columns, then the output projection, then the FFN
         got = [p.weight.data[:, i * dh:(i + 1) * dh] for i in range(h)

@@ -1,6 +1,7 @@
 """Synthetic dataset tests: determinism, rank, and the linear-probe oracle
 certifying the task carries full signal before any training happens."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifthead import synthetic
+from lifthead import cli, synthetic
 from lifthead.model import pose_output_from_arrays
 from lifthead.synthetic import (BETA_DIM, KEYPOINT_STD, KPT_WIDTH, N_JOINTS, N_TWISTS,
                                 TARGET_DIM, SyntheticGen, flatten_pose, generate,
@@ -103,75 +104,50 @@ class TestMixingMap:
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
 
-    def test_a_new_key_draws_again(self):
+    def test_a_new_shape_draws_again(self):
         a = small_gen(seed=5).mixing_map()
-        for other in (small_gen(seed=6), small_gen(seed=5, n_patches=8),
-                      small_gen(seed=5, c_in=16)):
+        assert small_gen(seed=6).mixing_map() is a  # the seed is not in the key
+        for other in (small_gen(seed=5, n_patches=8), small_gen(seed=5, c_in=16)):
             b = other.mixing_map()
             assert b is not a
             assert b.shape == (TARGET_DIM, other.n_patches * other.c_in)
-        assert small_gen(seed=5).mixing_map() is a  # all four fit in MAP_CACHE_BYTES
+            assert not b.flags.writeable
+        again = small_gen(seed=5).mixing_map()  # only the last shape's map is kept
+        assert again is not a
+        assert again.tobytes() == a.tobytes()
 
-    def test_alternating_small_keys_draw_once(self):
-        """A tiny set-up asks for its training map, then its held-out map."""
-        train, held = small_gen(seed=3), small_gen(seed=4)
-        a, b = train.mixing_map(), held.mixing_map()
-        for _ in range(3):
-            assert train.mixing_map() is a
-            assert held.mixing_map() is b
-        assert not a.flags.writeable and not b.flags.writeable
+    def test_heldout_split_shares_the_training_map(self):
+        train = small_gen(seed=3)
+        held = dataclasses.replace(train, seed=3 + cli.HELDOUT_SEED_OFFSET)
+        a = train.mixing_map()
+        assert held.mixing_map() is a
+        assert train.mixing_map() is a
+        assert not a.flags.writeable
 
     def test_cached_bytes_equal_an_uncached_draw(self):
         g = small_gen(seed=7)
         g.mixing_map()  # fill the cache, then read it back
-        rng = np.random.default_rng((7, 0xA11CE))
+        rng = np.random.default_rng((0, 0xA11CE))  # one stream, whatever the seed
         drawn = rng.standard_normal((TARGET_DIM, 16 * 32))
         drawn /= np.sqrt(TARGET_DIM)
         assert g.mixing_map().tobytes() == drawn.tobytes()
 
+    def test_tiny_train_then_eval_draws_the_map_once(self, monkeypatch, tmp_path):
+        class CountingDict(dict):
+            stores = 0
 
-MAP_BYTES = TARGET_DIM * 16 * 32 * 8  # one small_gen() map
+            def __setitem__(self, key, value):
+                CountingDict.stores += 1
+                super().__setitem__(key, value)
 
-
-@pytest.fixture
-def empty_cache(monkeypatch):
-    monkeypatch.setattr(synthetic, "_maps", {})
-
-
-@pytest.mark.usefixtures("empty_cache")
-class TestMapCacheBudget:
-    """The newest map always stays; older ones only while all fit."""
-
-    def test_over_budget_keeps_only_the_newest(self, monkeypatch):
-        monkeypatch.setattr(synthetic, "MAP_CACHE_BYTES", 2 * MAP_BYTES - 1)
-        a = small_gen(seed=3).mixing_map()
-        b = small_gen(seed=4).mixing_map()
-        assert list(synthetic._maps.values()) == [b]
-        again = small_gen(seed=3).mixing_map()
-        assert again is not a
-        assert again.tobytes() == a.tobytes()
-        assert not again.flags.writeable
-        assert list(synthetic._maps) == [(3, 16, 32)]
-
-    def test_exact_fit_keeps_both_and_evicts_the_least_recent(self, monkeypatch):
-        monkeypatch.setattr(synthetic, "MAP_CACHE_BYTES", 2 * MAP_BYTES)
-        a = small_gen(seed=3).mixing_map()
-        b = small_gen(seed=4).mixing_map()
-        assert small_gen(seed=3).mixing_map() is a  # now the most recent
-        small_gen(seed=5).mixing_map()
-        assert list(synthetic._maps) == [(3, 16, 32), (5, 16, 32)]
-        assert small_gen(seed=3).mixing_map() is a
-        assert small_gen(seed=4).mixing_map() is not b
-
-    def test_a_map_larger_than_the_budget_is_still_kept(self, monkeypatch):
-        monkeypatch.setattr(synthetic, "MAP_CACHE_BYTES", MAP_BYTES // 2)
-        small_gen(seed=3).mixing_map()
-        a = small_gen(seed=4).mixing_map()
-        assert small_gen(seed=4).mixing_map() is a
-        assert list(synthetic._maps) == [(4, 16, 32)]
-
-    def test_budget_is_one_paper_map(self):
-        assert synthetic.MAP_CACHE_BYTES == TARGET_DIM * 64 * 512 * 8
+        monkeypatch.setattr(synthetic, "_maps", CountingDict())
+        run = ["--profile", "tiny", "--n-samples", "4", "--eval-samples", "4",
+               "--epochs", "1", "--batch-size", "4", "--avg-last-epochs", "1"]
+        out = tmp_path / "run"
+        assert cli.main(["train", *run, "--out", str(out)]) == 0
+        assert cli.main(["eval", *run, "--checkpoint", str(out / "averaged.ckpt")]) == 0
+        assert CountingDict.stores == 1
+        assert list(synthetic._maps) == [(16, 32)]
 
 
 class TestFlattening:
@@ -208,6 +184,20 @@ class TestLinearSignal:
         kpt_mse = np.mean((pred[:, :72] - v[:, :72]) ** 2)
         assert kpt_mse < 1e-6
 
+    def test_heldout_split_measures_the_trained_task(self):
+        """A probe fit on the training split predicts the held-out split,
+        which only a shared mixing map makes possible."""
+        def split(seed, n):
+            data = generate(n, small_gen(seed=seed))
+            f = np.stack([x.data.reshape(-1).astype(np.float64) for x, _ in data])
+            return f, np.stack([flatten_pose(t) for _, t in data])
+
+        f, v = split(0, 160)
+        w, *_ = np.linalg.lstsq(f, v, rcond=None)
+        f_held, v_held = split(cli.HELDOUT_SEED_OFFSET, 64)
+        kpt_mse = np.mean((f_held @ w - v_held)[:, :N_JOINTS * KPT_WIDTH] ** 2)
+        assert kpt_mse < 1e-10
+
     def test_noise_breaks_exact_linearity(self):
         data = generate(200, small_gen(noise_sigma=0.05))
         v = np.stack([flatten_pose(t) for _, t in data])
@@ -234,13 +224,14 @@ GOLDEN = [
     (0, 16, 32, 1, 0.01, "a7bea77103fe03c9a003bdaf5d73b4a3d4d504860fd51f703259b548c7f173f3"),
     (0, 16, 32, 7, 0.0, "058266a0458b6294f73104ad1e7722ccc888dc2588a61c5cb8c40bc6567669b4"),
     (0, 16, 32, 7, 0.01, "fe1db3305d1f8d1d7b2e8fa134bded2db48eb0478e75e3b16ddb3ab47a7a8026"),
-    (3, 16, 32, 1, 0.0, "89384c42776eb89e61999c48030d28ec4ad8828037335adc24063d6bc3ac0e79"),
-    (3, 16, 32, 1, 0.01, "a8b7ac8708cd1a284eca592a671669c11a6e6d82d2bf60d1218767c8dcf4db7d"),
-    (3, 16, 32, 7, 0.0, "99cd1cb17515eb97f7e0ab4ca809fad4b8714dcf19f13869bd86c65b37233d25"),
-    (3, 16, 32, 7, 0.01, "3b9ec90aa4c7a419bb983a443d53c1f0acb7a771a66fb4bedf57245aff5d5fa4"),
+    (3, 16, 32, 1, 0.0, "0aaddc24cf045c56bd3fb18fe34415d9dfa63cbec0c0d01bb86f1d434b8cea62"),
+    (3, 16, 32, 1, 0.01, "ad0714441c00559802fad7908f9af0600b68d85be8175af8ed7b0f968d67f427"),
+    (3, 16, 32, 7, 0.0, "38bb157737d8a11a1c05f7a1bc41233c7f5c8209cf98e9c3c93239f142748013"),
+    (3, 16, 32, 7, 0.01, "497e1af47356e723d349fb0b7980fe747ae8014a4eed4df0cc67978050cac3ac"),
     (0, 64, 512, 2, 0.01, "29bc4c5096a101259a2eb5b0df69489a56820ab496e31a7aedb0e24ec1ce9279"),
+    (1, 64, 512, 64, 0.01, "54fd141475faa14dda7b9ff71a06ff87d663fe44b386b4bbaad2679662c8aae4"),
     # one float32 feature here differs if the rows go through one GEMM
-    (1, 64, 512, 64, 0.01, "f7fc1b7a7b5ede24b95303edc25f079fca965fdefad136b2810c1bd340a34a89"),
+    (24, 64, 512, 64, 0.01, "631a771755fe6a09cc3a8f64ec35f6d89e5b123574a0ce6e4ba84effedc842bb"),
 ]
 
 

@@ -305,6 +305,18 @@ class TestBackward:
                 once = x.grad.copy()
         np.testing.assert_array_equal(x.grad, 2.0 * once)
 
+    def test_0d_leaf_gradient_stays_an_array(self):
+        """scale's backward hands a 0-d leaf a numpy scalar, and so does the
+        sum of two 0-d gradients; .grad keeps both as 0-d arrays."""
+        x = T.Tensor(np.array(2.0, dtype=np.float32), requires_grad=True)
+        for want in (3.0, 6.0):
+            with T.Tape() as tape:
+                loss = T.scale(x, 3.0)
+            T.backward(loss, tape)
+            assert type(x.grad) is np.ndarray
+            assert x.grad.shape == () and x.grad.dtype == np.float32
+            assert x.grad == want
+
     def test_backward_empties_the_tape(self):
         x = t64(np.arange(4.0).reshape(2, 2), grad=True)
         with T.Tape() as tape:
