@@ -5,9 +5,9 @@ from .blocks import FFNParams, LinearParams, MHAParams
 from .checkpoint import (ChecksumError, CheckpointError, FormatError,
                          load_checkpoint, read_tensors, save_checkpoint,
                          write_tensors)
-from .efficiency import (DeconvConfig, EfficiencyReport, deconv_head_flops,
-                         deconv_head_params, efficiency_report,
-                         transformer_head_flops, transformer_head_params)
+from .efficiency import (deconv_head_flops, deconv_head_params,
+                         efficiency_report, transformer_head_flops,
+                         transformer_head_params)
 from .model import (HeadConfig, HeadParams, NormalizationDegenerateError,
                     PoseOutput, encode_decode, forward, init_head,
                     pose_output_from_arrays)
@@ -18,9 +18,8 @@ from .training import (AdamState, StepMetrics, TrainConfig, TrainResult,
                        evaluate, loss, lr_at, sample_patch_subset, train)
 
 __all__ = [
-    "AdamState", "ChecksumError", "CheckpointError", "DeconvConfig",
-    "EfficiencyReport", "FFNParams", "FormatError", "HeadConfig",
-    "HeadParams", "LinearParams", "MHAParams",
+    "AdamState", "ChecksumError", "CheckpointError", "FFNParams",
+    "FormatError", "HeadConfig", "HeadParams", "LinearParams", "MHAParams",
     "NormalizationDegenerateError", "PoseOutput", "ShapeError",
     "StepMetrics", "SyntheticGen", "Tape", "Tensor", "TrainConfig",
     "TrainResult", "TrainingAborted", "adam_step", "average_checkpoints",

@@ -29,7 +29,7 @@ from . import gradcheck as G
 from . import model as M
 from . import synthetic as S
 from . import training as TR
-from .efficiency import DeconvConfig, efficiency_report
+from .efficiency import efficiency_report
 
 log = logging.getLogger("lifthead.cli")
 
@@ -212,8 +212,9 @@ def cmd_train(cfg: dict[str, object], hc: M.HeadConfig, tc: TR.TrainConfig,
     params = M.init_head(hc, np.random.default_rng(tc.seed))
     log.info("training: %d samples, %d epochs, batch %d",
              len(dataset), tc.epochs, tc.batch_size)
-    result = TR.train(hc, params, dataset, tc,
-                      checkpoint_dir=out_dir, metrics_path=metrics_file)
+    result = TR.train(hc, params, dataset, tc, checkpoint_dir=out_dir)
+    with open(metrics_file, "w") as f:
+        f.write(TR.metrics_to_text(result.metrics))
     log.info("training finished after %d steps", len(result.metrics))
 
     print(f"train.steps\t{len(result.metrics)}")
@@ -256,7 +257,7 @@ def cmd_gradcheck(seed: int) -> int:
 
 
 def cmd_params(hc: M.HeadConfig) -> int:
-    sys.stdout.write(efficiency_report(hc, DeconvConfig()).to_text())
+    sys.stdout.write(efficiency_report(hc))
     return 0
 
 

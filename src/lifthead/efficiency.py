@@ -1,14 +1,16 @@
 """Analytic parameter and FLOP accounting.
 
 Compares the transformer lifting head against a conventional deconvolution
-head (three stride-2 deconv layers plus a 1x1 conv emitting per-joint depth
-heatmaps). The deconv baseline's widths are assumptions, not measurements;
-they are echoed verbatim in the report so the comparison is auditable. GPU
-memory and wall-clock claims are hardware-bound and explicitly not computed
-here: counts are the desk-scale proxy.
+head on the same backbone features: the head config's n_patches positions of
+c_in channels go through three stride-2 deconv layers (each multiplies the
+positions by 4), then a 1x1 conv emits n_joints depth heatmaps. The deconv
+head's own widths (DECONV_CHANNELS, DECONV_KERNEL, DEPTH_BINS) are
+assumptions, not measurements; they are echoed verbatim in the report so the
+comparison is auditable. GPU memory and wall-clock claims are hardware-bound
+and explicitly not computed here: counts are the desk-scale proxy.
 
 FLOP accounting is matmul-dominant: a multiply-add counts as 2 ops
-(2*m*k*n per matrix product, 2*k*k*c_in*c_out*H_out*W_out per conv layer);
+(2*m*k*n per matrix product, 2*k*k*c_in*c_out*positions_out per conv layer);
 softmax, normalization and activations are excluded (sub-1% at these shapes).
 Head FLOPs are counted per sample. A batched forward computes less than
 batch times that: its samples share block 0's template self-attention,
@@ -17,30 +19,11 @@ which runs once per batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
-
 from .model import HeadConfig
 
-
-@dataclass
-class DeconvConfig:
-    """Assumed deconvolution-head layout: in_channels -> channels[0..2] via
-    kernel x kernel stride-2 deconvs (grid doubles per layer), then a 1x1
-    conv to heatmap_joints * depth_bins output channels."""
-    in_channels: int = 512
-    channels: tuple[int, int, int] = (256, 256, 256)
-    kernel: int = 4
-    heatmap_joints: int = HeadConfig.n_joints
-    depth_bins: int = 64
-    grid: int = 8  # input spatial side; must match n_patches = grid**2
-
-    def __post_init__(self):
-        if len(self.channels) != 3:
-            raise ValueError(f"expected 3 deconv layers, got {len(self.channels)}")
-        for name in ("in_channels", "kernel", "heatmap_joints", "depth_bins", "grid"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+DECONV_CHANNELS = (256, 256, 256)  # output width of each stride-2 deconv
+DECONV_KERNEL = 4
+DEPTH_BINS = 64  # depth heatmap channels per joint
 
 
 def transformer_head_params(cfg: HeadConfig) -> int:
@@ -75,81 +58,52 @@ def transformer_head_flops(cfg: HeadConfig) -> int:
     return 2 * p * cfg.c_in * d + cfg.L * block + out
 
 
-def deconv_head_params(dc: DeconvConfig) -> int:
-    """Exact parameter count of the assumed deconvolution head."""
+def deconv_head_params(cfg: HeadConfig) -> int:
+    """Exact parameter count of the assumed deconvolution head on cfg's
+    backbone features."""
     total = 0
-    c_prev = dc.in_channels
-    for c in dc.channels:
-        total += dc.kernel * dc.kernel * c_prev * c + c
+    c_prev = cfg.c_in
+    for c in DECONV_CHANNELS:
+        total += DECONV_KERNEL * DECONV_KERNEL * c_prev * c + c
         c_prev = c
-    heat = dc.heatmap_joints * dc.depth_bins
+    heat = cfg.n_joints * DEPTH_BINS
     return total + (c_prev * heat + heat)
 
 
-def deconv_head_flops(dc: DeconvConfig) -> int:
-    """Conv FLOPs of one forward pass; spatial side doubles per deconv."""
+def deconv_head_flops(cfg: HeadConfig) -> int:
+    """Conv FLOPs of one forward pass; each stride-2 deconv quadruples the
+    positions."""
     total = 0
-    c_prev, side = dc.in_channels, dc.grid
-    for c in dc.channels:
-        side *= 2
-        total += 2 * dc.kernel * dc.kernel * c_prev * c * side * side
+    c_prev, positions = cfg.c_in, cfg.n_patches
+    for c in DECONV_CHANNELS:
+        positions *= 4
+        total += 2 * DECONV_KERNEL * DECONV_KERNEL * c_prev * c * positions
         c_prev = c
-    heat = dc.heatmap_joints * dc.depth_bins
-    return total + 2 * c_prev * heat * side * side
+    heat = cfg.n_joints * DEPTH_BINS
+    return total + 2 * c_prev * heat * positions
 
 
-@dataclass
-class EfficiencyReport:
-    transformer_head_params: int
-    deconv_head_params: int
-    param_ratio: float
-    transformer_head_flops: int
-    deconv_head_flops: int
-    flop_ratio: float
-    assumptions: list[tuple[str, Union[int, float, str]]] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        """Stable key<TAB>value lines for diffing."""
-        rows: list[tuple[str, Union[int, float, str]]] = [
-            ("transformer_head_params", self.transformer_head_params),
-            ("deconv_head_params", self.deconv_head_params),
-            ("param_ratio", f"{self.param_ratio:.6f}"),
-            ("transformer_head_flops", self.transformer_head_flops),
-            ("deconv_head_flops", self.deconv_head_flops),
-            ("flop_ratio", f"{self.flop_ratio:.6f}"),
-        ]
-        rows += [(f"assumption.{k}", v) for k, v in self.assumptions]
-        rows += [
-            ("note.flop_accounting",
-             "multiply-add = 2 ops; softmax/norm/activation excluded"),
-            ("note.gpu_memory", "not reproduced (hardware-bound)"),
-            ("note.wall_clock", "not reproduced (hardware-bound)"),
-            ("note.proxy", "parameter and FLOP counts are the desk-scale proxy"),
-        ]
-        return "".join(f"{k}\t{v}\n" for k, v in rows)
-
-
-def efficiency_report(cfg: HeadConfig, dc: DeconvConfig) -> EfficiencyReport:
-    tp = transformer_head_params(cfg)
-    dp = deconv_head_params(dc)
-    tf = transformer_head_flops(cfg)
-    df = deconv_head_flops(dc)
-    assumptions: list[tuple[str, Union[int, float, str]]] = [
-        ("transformer.L", cfg.L), ("transformer.h", cfg.h),
-        ("transformer.d", cfg.d), ("transformer.n_patches", cfg.n_patches),
-        ("transformer.c_in", cfg.c_in), ("transformer.n_joints", cfg.n_joints),
-        ("transformer.n_twists", cfg.n_twists), ("transformer.beta_dim", cfg.beta_dim),
-        ("deconv.in_channels", dc.in_channels),
-        ("deconv.channels", "x".join(str(c) for c in dc.channels)),
-        ("deconv.kernel", dc.kernel),
-        ("deconv.heatmap_joints", dc.heatmap_joints),
-        ("deconv.depth_bins", dc.depth_bins),
-        ("deconv.grid", dc.grid),
+def efficiency_report(cfg: HeadConfig) -> str:
+    """Both heads' counts and ratios, the architecture they assume and the
+    notes, as stable key<TAB>value lines for diffing."""
+    tp, dp = transformer_head_params(cfg), deconv_head_params(cfg)
+    tf, df = transformer_head_flops(cfg), deconv_head_flops(cfg)
+    rows = [
+        ("transformer_head_params", tp), ("deconv_head_params", dp),
+        ("param_ratio", f"{tp / dp:.6f}"),
+        ("transformer_head_flops", tf), ("deconv_head_flops", df),
+        ("flop_ratio", f"{tf / df:.6f}"),
     ]
-    return EfficiencyReport(
-        transformer_head_params=tp, deconv_head_params=dp,
-        param_ratio=tp / dp,
-        transformer_head_flops=tf, deconv_head_flops=df,
-        flop_ratio=tf / df,
-        assumptions=assumptions,
-    )
+    rows += [(f"assumption.transformer.{name}", getattr(cfg, name)) for name in
+             ("L", "h", "d", "n_patches", "c_in", "n_joints", "n_twists", "beta_dim")]
+    rows += [
+        ("assumption.deconv.channels", "x".join(str(c) for c in DECONV_CHANNELS)),
+        ("assumption.deconv.kernel", DECONV_KERNEL),
+        ("assumption.deconv.depth_bins", DEPTH_BINS),
+        ("note.flop_accounting",
+         "multiply-add = 2 ops; softmax/norm/activation excluded"),
+        ("note.gpu_memory", "not reproduced (hardware-bound)"),
+        ("note.wall_clock", "not reproduced (hardware-bound)"),
+        ("note.proxy", "parameter and FLOP counts are the desk-scale proxy"),
+    ]
+    return "".join(f"{k}\t{v}\n" for k, v in rows)

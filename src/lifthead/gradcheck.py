@@ -110,8 +110,8 @@ def primitive_checks(seed: int = 0) -> dict[str, tuple[Callable, list[np.ndarray
     drop_seed = int(rng.integers(1 << 30))
     # batched forms: a (2, 3, 4) stack against a shared (4, 5) matrix and
     # against a (2, 4, 5) stack; an axes permutation; softmax on the last
-    # axis, whose width 7 makes the halving row max fold an odd column twice
-    # (7 -> 3 -> 1), as width 5 does in the 2-D check
+    # axis. Rows this narrow take _row_max's transposed path; both sides of
+    # its cut are checked by test_tensor.py::test_row_max_is_exact
     x234, b45, b245 = r(2, 3, 4), r(4, 5), r(2, 4, 5)
     w235, w423 = r(2, 3, 5), r(4, 2, 3)
     x237, w237 = r(2, 3, 7), r(2, 3, 7)

@@ -30,16 +30,18 @@ KPT_WIDTH, TWIST_WIDTH = HeadConfig.kpt_width, HeadConfig.twist_width
 TARGET_DIM = HeadConfig.pose_dim
 KEYPOINT_STD = 0.3  # spread of every sampled keypoint coordinate
 FEATURE_CHUNK = 16  # samples per feature pass; bounds its float64 temporaries
+MAP_ALIGN = 64  # bytes; the mixing map's data starts on such a boundary
 _maps: dict[tuple[int, int], np.ndarray] = {}  # the last feature shape's map only
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SyntheticGen:
     """Deterministic generator configuration; same seed, same dataset. The
-    seed picks the samples and the noise, not the mixing map."""
+    seed picks the samples and the noise, not the mixing map. The feature
+    shape has no default: it is the head's (HeadConfig.n_patches, c_in)."""
     seed: int = 0
-    n_patches: int = 64
-    c_in: int = 512
+    n_patches: int
+    c_in: int
     noise_sigma: float = 0.01
 
     def __post_init__(self):
@@ -57,12 +59,18 @@ class SyntheticGen:
     def mixing_map(self) -> np.ndarray:
         """The fixed (TARGET_DIM, n_patches*c_in) linear map of this feature
         shape, whatever the seed; read-only, and shared with every generator
-        of the same shape while it is kept."""
+        of the same shape while it is kept. Its data starts on a 64-byte
+        boundary: generate's per-row products run at about half speed on a
+        map the allocator happened to place 16, 32 or 48 bytes off one."""
         key = (self.n_patches, self.c_in)
         if key not in _maps:
             _maps.clear()  # free the old shape's map before the draw
-            a = np.random.default_rng((0, 0xA11CE)).standard_normal(
-                (TARGET_DIM, self.n_patches * self.c_in))
+            size = TARGET_DIM * self.n_patches * self.c_in
+            buf = np.empty(size + MAP_ALIGN // 8)  # float64 data is 8-aligned at worst
+            skip = -buf.ctypes.data % MAP_ALIGN // 8
+            a = buf[skip:skip + size].reshape(TARGET_DIM, -1)
+            # the same values as standard_normal((TARGET_DIM, size // TARGET_DIM))
+            np.random.default_rng((0, 0xA11CE)).standard_normal(out=a)
             a /= np.sqrt(TARGET_DIM)
             a.flags.writeable = False
             _maps[key] = a

@@ -355,7 +355,7 @@ def stack_samples(samples: Sequence[tuple[Tensor, PoseOutput]]
 
 def train(head_cfg: HeadConfig, params: HeadParams,
           dataset: Sequence[tuple[Tensor, PoseOutput]], cfg: TrainConfig, *,
-          checkpoint_dir=None, metrics_path=None) -> TrainResult:
+          checkpoint_dir=None) -> TrainResult:
     """Optimize params on dataset; returns the averaged model and step log.
 
     Each epoch shuffles, batches, draws one patch subset per batch, and runs
@@ -427,9 +427,6 @@ def train(head_cfg: HeadConfig, params: HeadParams,
     averaged = params if window is None else average_checkpoints(window)
     if checkpoint_dir is not None and window is not None:
         C.save_checkpoint(averaged, None, f"{checkpoint_dir}/averaged.ckpt")
-    if metrics_path is not None:
-        with open(metrics_path, "w") as f:
-            f.write(metrics_to_text(metrics))
     return TrainResult(params=averaged, last_params=params, metrics=metrics)
 
 

@@ -104,6 +104,18 @@ class TestAttention:
             B.attention(t64(np.zeros((2, 3))), t64(np.zeros((4, 3))),
                         t64(np.zeros((5, 2))), scale_dim=3)
 
+    def test_batched_matches_per_sample(self):
+        # leading axes: the widths and counts are read from the last two axes,
+        # so 3 queries attend over 5 keys of width 4 in each of 2 samples
+        rng = np.random.default_rng(5)
+        q, k, v = (rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4)),
+                   rng.normal(size=(2, 5, 6)))
+        out = B.attention(t64(q), t64(k), t64(v), scale_dim=4).data
+        assert out.shape == (2, 3, 6)
+        for b in range(2):
+            np.testing.assert_allclose(out[b], attention_oracle(q[b], k[b], v[b], 4),
+                                       atol=1e-12)
+
 
 class TestMultiHeadAttention:
     def test_single_head_identity_projections(self):
@@ -236,6 +248,10 @@ class TestInitParams:
     def test_positive_dims_required(self):
         with pytest.raises(ValueError):
             drawn(np.random.default_rng(0), B.init_params, 0, 4)
+
+    def test_positive_fan_out_required(self):
+        with pytest.raises(ValueError, match="must be positive, got 4, 0"):
+            drawn(np.random.default_rng(0), B.init_params, 4, 0)
 
 
 class TestComposedGradients:

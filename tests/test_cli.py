@@ -160,11 +160,11 @@ PARAMS_PAPER = (
 
 PARAMS_TINY = (
     "transformer_head_params\t41327\n"
-    "deconv_head_params\t4589824\n"
-    "param_ratio\t0.009004\n"
+    "deconv_head_params\t2623744\n"
+    "param_ratio\t0.015751\n"
     "transformer_head_flops\t3252224\n"
-    "deconv_head_flops\t15032385536\n"
-    "flop_ratio\t0.000216\n"
+    "deconv_head_flops\t3506438144\n"
+    "flop_ratio\t0.000928\n"
     "assumption.transformer.L\t2\n"
     "assumption.transformer.h\t2\n"
     "assumption.transformer.d\t32\n"
@@ -176,12 +176,9 @@ PARAMS_TAIL = (
     "assumption.transformer.n_joints\t24\n"
     "assumption.transformer.n_twists\t23\n"
     "assumption.transformer.beta_dim\t10\n"
-    "assumption.deconv.in_channels\t512\n"
     "assumption.deconv.channels\t256x256x256\n"
     "assumption.deconv.kernel\t4\n"
-    "assumption.deconv.heatmap_joints\t24\n"
     "assumption.deconv.depth_bins\t64\n"
-    "assumption.deconv.grid\t8\n"
     "note.flop_accounting\tmultiply-add = 2 ops; softmax/norm/activation excluded\n"
     "note.gpu_memory\tnot reproduced (hardware-bound)\n"
     "note.wall_clock\tnot reproduced (hardware-bound)\n"
@@ -483,6 +480,15 @@ class TestGradcheck:
         assert row.endswith("\tfail")
         assert "matmul" in err
 
+    def test_composed_error_at_the_tolerance_fails(self, capsys, monkeypatch):
+        # pass means below the tolerance, for the composed rows as for the primitives
+        monkeypatch.setattr(G, "composed_head_check", lambda seed, batch: G.COMPOSED_TOLERANCE)
+        code, out, err = run_cli(["gradcheck"], capsys)
+        assert code == 3
+        rows = [l for l in out.splitlines() if l.startswith("gradcheck.composed_head")]
+        assert len(rows) == 2 and all(r.endswith("\tfail") for r in rows)
+        assert "composed_head_batch3" in err
+
 
 class TestTrain:
     def test_epochs_zero_echo_only(self, capsys, tmp_path):
@@ -507,6 +513,13 @@ class TestTrain:
         assert pairs["train.steps"] == "4"
         assert float(pairs["train.final_loss"]) > 0
         assert pairs["train.averaged_checkpoint"] == str(out_dir / "averaged.ckpt")
+
+    def test_final_loss_is_the_last_logged_step(self, capsys, tmp_path):
+        out_dir = tmp_path / "run"
+        _, out, _ = run_cli(["train", *MICRO, "--epochs", "3", "--out", str(out_dir)], capsys)
+        rows = (out_dir / "metrics.tsv").read_text().splitlines()
+        assert len(rows) == 6
+        assert kv(out)["train.final_loss"] == rows[-1].split("\t")[3]
 
     def test_same_seed_identical_runs(self, capsys, tmp_path):
         outs = []

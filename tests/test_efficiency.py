@@ -4,10 +4,10 @@
 import numpy as np
 import pytest
 
+import lifthead.efficiency as E
 import lifthead.model as M
 import lifthead.tensor as T
-from lifthead.efficiency import (DeconvConfig, EfficiencyReport, deconv_head_flops,
-                                 deconv_head_params, efficiency_report,
+from lifthead.efficiency import (deconv_head_flops, deconv_head_params, efficiency_report,
                                  transformer_head_flops, transformer_head_params)
 from lifthead.model import HeadConfig
 from lifthead.tensor import Tensor
@@ -76,73 +76,99 @@ class TestTransformerFlops:
 
 
 class TestDeconvCounts:
-    def test_unit_conv_arithmetic(self):
-        # all-1 widths: each 1x1x1x1 deconv layer is w+b = 2; final conv 2
-        dc = DeconvConfig(in_channels=1, channels=(1, 1, 1), kernel=1,
-                          heatmap_joints=1, depth_bins=1, grid=1)
-        assert deconv_head_params(dc) == 8
+    def test_unit_conv_arithmetic(self, monkeypatch):
+        # all-1 widths: each 1x1x1x1 deconv layer is w+b = 2; the final conv
+        # maps 1 channel to 24 heatmaps, 24 + 24
+        monkeypatch.setattr(E, "DECONV_CHANNELS", (1, 1, 1))
+        monkeypatch.setattr(E, "DECONV_KERNEL", 1)
+        monkeypatch.setattr(E, "DEPTH_BINS", 1)
+        assert deconv_head_params(HeadConfig(c_in=1)) == 3 * 2 + 48
 
     def test_default_hand_expansion(self):
         # 4*4*512*256+256, then twice 4*4*256*256+256, then 256*1536+1536
-        dc = DeconvConfig()
         want = (2_097_152 + 256) + 2 * (1_048_576 + 256) + (393_216 + 1_536)
         assert want == 4_589_824
-        assert deconv_head_params(dc) == want
+        assert deconv_head_params(HeadConfig()) == want
 
-    def test_weights_scale_quadratically(self):
-        dc1 = DeconvConfig()
-        dc2 = DeconvConfig(in_channels=1024, channels=(512, 512, 512),
-                           depth_bins=128)
-        biases1 = sum(dc1.channels) + dc1.heatmap_joints * dc1.depth_bins
-        biases2 = sum(dc2.channels) + dc2.heatmap_joints * dc2.depth_bins
-        w1 = deconv_head_params(dc1) - biases1
-        w2 = deconv_head_params(dc2) - biases2
-        assert w2 == 4 * w1
+    def test_reads_the_head_configs_channels(self):
+        # tiny's 32 channels: only the first deconv's weights change
+        want = (4 * 4 * 32 * 256 + 256) + 2 * (1_048_576 + 256) + (393_216 + 1_536)
+        assert want == 2_623_744
+        assert deconv_head_params(HeadConfig(c_in=32, n_patches=16)) == want
+        assert deconv_head_params(HeadConfig(c_in=32, n_patches=1)) == want
+
+    def test_weights_scale_quadratically(self, monkeypatch):
+        def weights():
+            cfg = HeadConfig(c_in=2 * E.DECONV_CHANNELS[0])
+            biases = sum(E.DECONV_CHANNELS) + cfg.n_joints * E.DEPTH_BINS
+            return deconv_head_params(cfg) - biases
+
+        w1 = weights()
+        monkeypatch.setattr(E, "DECONV_CHANNELS", (512, 512, 512))
+        monkeypatch.setattr(E, "DEPTH_BINS", 128)
+        assert weights() == 4 * w1
 
     def test_default_flops_hand_expansion(self):
         # stride-2 grid 8->16->32->64, then 1x1 conv at 64x64
-        dc = DeconvConfig()
         want = (2 * 16 * 512 * 256 * 16 * 16
                 + 2 * 16 * 256 * 256 * 32 * 32
                 + 2 * 16 * 256 * 256 * 64 * 64
                 + 2 * 256 * (24 * 64) * 64 * 64)
-        assert deconv_head_flops(dc) == want == 15_032_385_536
+        assert deconv_head_flops(HeadConfig()) == want == 15_032_385_536
 
-    def test_layer_count_enforced(self):
-        with pytest.raises(ValueError, match="3 deconv layers"):
-            DeconvConfig(channels=(256, 256))
+    def test_flops_read_the_head_configs_input(self):
+        # tiny: 16 positions of 32 channels -> 64 -> 256 -> 1024 positions
+        want = (2 * 16 * 32 * 256 * 64
+                + 2 * 16 * 256 * 256 * 256
+                + 2 * 16 * 256 * 256 * 1024
+                + 2 * 256 * (24 * 64) * 1024)
+        assert deconv_head_flops(HeadConfig(c_in=32, n_patches=16)) == want == 3_506_438_144
+
+    def test_flops_need_no_square_grid(self):
+        # positions, not a side, are counted: 5 patches cost 5/4 of 4
+        assert 4 * deconv_head_flops(HeadConfig(n_patches=5)) == \
+            5 * deconv_head_flops(HeadConfig(n_patches=4))
+
+
+def report_fields(cfg):
+    return dict(line.split("\t") for line in efficiency_report(cfg).splitlines())
 
 
 class TestReport:
     def test_deterministic(self):
-        a = efficiency_report(HeadConfig(), DeconvConfig()).to_text()
-        b = efficiency_report(HeadConfig(), DeconvConfig()).to_text()
-        assert a == b
+        assert efficiency_report(HeadConfig()) == efficiency_report(HeadConfig())
 
     def test_ratio_recomputation(self):
-        rep = efficiency_report(HeadConfig(), DeconvConfig())
-        assert rep.param_ratio == rep.transformer_head_params / rep.deconv_head_params
-        assert rep.flop_ratio == rep.transformer_head_flops / rep.deconv_head_flops
+        # paper, then tiny: both heads read the same config
+        for cfg in (HeadConfig(), HeadConfig(L=2, h=2, d=32, n_patches=16, c_in=32)):
+            fields = report_fields(cfg)
+            tp, dp = transformer_head_params(cfg), deconv_head_params(cfg)
+            tf, df = transformer_head_flops(cfg), deconv_head_flops(cfg)
+            assert [int(fields[k]) for k in ("transformer_head_params", "deconv_head_params",
+                                             "transformer_head_flops", "deconv_head_flops")] == \
+                [tp, dp, tf, df]
+            assert fields["param_ratio"] == f"{tp / dp:.6f}"
+            assert fields["flop_ratio"] == f"{tf / df:.6f}"
 
     def test_text_is_tab_separated_key_values(self):
-        text = efficiency_report(HeadConfig(), DeconvConfig()).to_text()
+        text = efficiency_report(HeadConfig())
         lines = text.splitlines()
+        assert text.endswith("\n")
         assert all(line.count("\t") == 1 for line in lines)
         keys = [line.split("\t")[0] for line in lines]
         assert keys[0] == "transformer_head_params"
         assert "assumption.deconv.channels" in keys
         assert "note.gpu_memory" in keys
 
-    def test_assumptions_echo_configs(self):
-        text = efficiency_report(HeadConfig(d=128, h=4),
-                                 DeconvConfig(kernel=3)).to_text()
-        fields = dict(line.split("\t") for line in text.splitlines())
+    def test_assumptions_echo_configs(self, monkeypatch):
+        monkeypatch.setattr(E, "DECONV_KERNEL", 3)
+        fields = report_fields(HeadConfig(d=128, h=4))
         assert fields["assumption.transformer.d"] == "128"
         assert fields["assumption.deconv.kernel"] == "3"
         assert fields["assumption.deconv.channels"] == "256x256x256"
+        assert fields["assumption.deconv.depth_bins"] == "64"
         assert fields["note.wall_clock"] == "not reproduced (hardware-bound)"
 
     def test_claims_marked_not_reproduced(self):
-        rep = efficiency_report(HeadConfig(), DeconvConfig())
-        text = rep.to_text()
+        text = efficiency_report(HeadConfig())
         assert text.count("not reproduced (hardware-bound)") == 2

@@ -73,6 +73,13 @@ class TestGeneratorBasics:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             small_gen(seed=-1)
 
+    def test_feature_shape_has_no_default(self):
+        # the shape is the head's; a generator cannot quietly assume paper's
+        with pytest.raises(TypeError, match="n_patches"):
+            SyntheticGen(seed=0)
+        with pytest.raises(TypeError):
+            SyntheticGen(0, 16, 32)  # keyword-only
+
     @pytest.mark.parametrize("n_patches, c_in", [(1, TARGET_DIM), (TARGET_DIM, 1), (2, 64)])
     def test_smallest_accepted_feature_sizes(self, n_patches, c_in):
         """One patch, one channel, and exactly TARGET_DIM features are allowed."""
@@ -123,6 +130,12 @@ class TestMixingMap:
         assert held.mixing_map() is a
         assert train.mixing_map() is a
         assert not a.flags.writeable
+
+    @pytest.mark.parametrize("n_patches, c_in", [(16, 32), (64, 512), (1, TARGET_DIM)])
+    def test_map_data_is_64_byte_aligned(self, n_patches, c_in):
+        a = small_gen(n_patches=n_patches, c_in=c_in).mixing_map()
+        assert a.ctypes.data % 64 == 0
+        assert a.flags.c_contiguous
 
     def test_cached_bytes_equal_an_uncached_draw(self):
         g = small_gen(seed=7)

@@ -677,7 +677,7 @@ def small_run(tmp_path=None, seed=0, epochs=3, n=8, **cfg_kw):
                       max_lr=1e-3, avg_last_epochs=2, **cfg_kw)
     kw = {}
     if tmp_path is not None:
-        kw = dict(checkpoint_dir=str(tmp_path), metrics_path=str(tmp_path / "log.tsv"))
+        kw = dict(checkpoint_dir=str(tmp_path))
     return head_cfg, params, train(head_cfg, params, data, cfg, **kw)
 
 
@@ -741,7 +741,7 @@ class TestTrainLoop:
         for (_, a), (_, b) in zip(got.named_parameters(), want.named_parameters()):
             np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-7)
 
-        lines = (tmp_path / "log.tsv").read_text().splitlines()
+        lines = metrics_to_text(result.metrics).splitlines()
         assert len(lines) == len(result.metrics)
         assert all(len(line.split("\t")) == 5 for line in lines)
 

@@ -29,6 +29,10 @@ SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mul
 
 # mutant -> why no test can, or should, tell it from the module as written
 EQUIVALENT = {
+    "blocks.py: fill_uniform: offset >= len(parts) * total / SPLIT_PARTS -> "
+    "offset > len(parts) * total / SPLIT_PARTS":
+        "a job at exactly the cut then joins the part before it; every part "
+        "draws from the stream advanced to its own offset, so no value changes",
     "synthetic.py: generate: gen.noise_sigma > 0 -> gen.noise_sigma >= 0":
         "at sigma 0 the noise stream, which nothing else reads, draws exact "
         "zeros, and adding +0.0 changes no nonzero feature",
