@@ -1,14 +1,15 @@
-"""Neural primitives: scaled dot-product attention, multi-head attention,
-the 3-layer feed-forward network, and parameter initialization.
+"""Neural primitives: multi-head scaled dot-product attention, the 3-layer
+feed-forward network, and parameter initialization.
 
 Activations are 2-D row matrices: a batch of B samples with n rows each is
 one (B*n, d) matrix, sample-major, so linears and feed-forward layers are
 single matrix products. Only attention splits rows by sample and columns by
 head, into (B, h, n, d/h).
 
-Attention divides the score matrix by sqrt(scale_dim) where scale_dim is the
-model-wide width d, not the per-head width d/h. That is deliberate and
-config-visible; callers that prefer per-head scaling can pass d // h.
+Attention divides the score matrix by sqrt(d), the model-wide width, not by
+sqrt(d/h), the per-head width. That is deliberate: it is the divisor every
+recorded result was trained with, and per-head scaling would be a change of
+model, not a setting.
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ class MHAParams:
     """Fused q/k/v projections plus the output projection, all d -> d.
 
     Head i owns columns [i*d/h, (i+1)*d/h) of q, k and v; out maps the
-    concatenated heads back to width d. scale_dim is the attention divisor.
+    concatenated heads back to width d.
     """
     q: LinearParams
     k: LinearParams
     v: LinearParams
     out: LinearParams
     h: int
-    scale_dim: int
 
     def __post_init__(self):
         d = self.out.weight.shape[0]
@@ -63,12 +63,11 @@ class FFNParams:
             raise ShapeError(f"feed-forward layers must share a square width, got {widths}")
 
 
-def named_tensors(node, prefix: str = ""):
-    """(dotted name, tensor) for every Tensor under node, walking dataclass
-    fields in declaration order and list items by index; other values (head
-    counts, widths) are skipped. This order is the parameter order of the
-    Adam arena and of checkpoints."""
-    if isinstance(node, Tensor):
+def named_leaves(node, prefix: str = ""):
+    """(dotted name, value) for every leaf under node, walking dataclass
+    fields in declaration order and list items by index; a leaf is any
+    other value: a Tensor or a head count."""
+    if isinstance(node, Tensor):  # the common leaf, tested first
         yield prefix, node
         return
     if isinstance(node, list):
@@ -76,13 +75,20 @@ def named_tensors(node, prefix: str = ""):
     elif is_dataclass(node):
         children = ((f.name, getattr(node, f.name)) for f in fields(node))
     else:
+        yield prefix, node
         return
     for key, child in children:
-        yield from named_tensors(child, f"{prefix}.{key}" if prefix else key)
+        yield from named_leaves(child, f"{prefix}.{key}" if prefix else key)
+
+
+def named_tensors(node, prefix: str = ""):
+    """named_leaves' Tensors, in its order: the parameter order of the Adam
+    arena and of checkpoints, which also hold the head counts."""
+    return ((name, t) for name, t in named_leaves(node, prefix) if isinstance(t, Tensor))
 
 
 def rebuild(node, leaf):
-    """A new node along named_tensors' walk, each Tensor t under it leaf(t)."""
+    """A new node along named_leaves' walk, each Tensor t under it leaf(t)."""
     if isinstance(node, Tensor):
         return leaf(node)
     if isinstance(node, list):
@@ -162,7 +168,7 @@ def init_params(fan_in: int, fan_out: int, jobs: list,
                         bias=Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True))
 
 
-def init_mha(d: int, h: int, jobs: list, scale_dim: int, dtype=T.DEFAULT_DTYPE) -> MHAParams:
+def init_mha(d: int, h: int, jobs: list, dtype=T.DEFAULT_DTYPE) -> MHAParams:
     """Zero biases and empty weights, with the per-head Xavier draws (q, k,
     v of head 0, then of head 1, ...), each d -> d/h into head i's columns
     of the fused projections, then the output projection's, appended to
@@ -174,8 +180,7 @@ def init_mha(d: int, h: int, jobs: list, scale_dim: int, dtype=T.DEFAULT_DTYPE) 
     q, k, v = (LinearParams(weight=Tensor(w, requires_grad=True),
                             bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True))
                for w in weights)
-    return MHAParams(q=q, k=k, v=v, out=init_params(d, d, jobs, dtype), h=h,
-                     scale_dim=scale_dim)
+    return MHAParams(q=q, k=k, v=v, out=init_params(d, d, jobs, dtype), h=h)
 
 
 def init_ffn(d: int, jobs: list, dtype=T.DEFAULT_DTYPE) -> FFNParams:
@@ -188,29 +193,13 @@ def linear(p: LinearParams, x: Tensor) -> Tensor:
     return T.matmul(x, p.weight, p.bias)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale_dim: int) -> Tensor:
-    """softmax(q k^T / sqrt(scale_dim)) v over the last two axes, softmax over
-    key positions; any leading axes (batch, head) must match."""
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention: query width {q.shape} vs key width {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention: key count {k.shape} vs value count {v.shape}")
-    nd = k.data.ndim
-    return _attend(q, T.transpose(k, tuple(range(nd - 2)) + (nd - 1, nd - 2)), v, scale_dim)
-
-
-def _attend(q: Tensor, k_t: Tensor, v: Tensor, scale_dim: int) -> Tensor:
-    """attention() with the keys already transposed to (..., dk, n)."""
-    weights = T.softmax_rows(T.matmul(q, k_t), scale=1.0 / math.sqrt(scale_dim))
-    return T.matmul(weights, v)
-
-
 def multi_head_attention(p: MHAParams, q: Tensor, k: Tensor, v: Tensor, *,
                          batch: int = 1) -> Tensor:
     """Project, attend per sample and head, merge heads, project back to d.
 
-    q is (batch*m, d) and k, v are (batch*n, d), sample-major. A pure
-    function of its inputs: the caller applies dropout to the result.
+    Each head's output is softmax(q k^T / sqrt(d)) v, softmax over key
+    positions. q is (batch*m, d) and k, v are (batch*n, d), sample-major.
+    A pure function of its inputs: the caller applies dropout to the result.
     """
     for x in (q, k, v):
         if x.data.ndim != 2 or x.shape[0] % batch != 0:
@@ -222,9 +211,11 @@ def multi_head_attention(p: MHAParams, q: Tensor, k: Tensor, v: Tensor, *,
         return T.transpose(T.reshape(x, (batch, rows // batch, h, d // h)), axes)
 
     # keys go straight to (batch, h, d/h, n), queries and values to (batch, h, n, d/h)
-    heads = _attend(split(linear(p.q, q), (0, 2, 1, 3)), split(linear(p.k, k), (0, 2, 3, 1)),
-                    split(linear(p.v, v), (0, 2, 1, 3)), p.scale_dim)
-    merged = T.reshape(T.transpose(heads, (0, 2, 1, 3)), (q.shape[0], p.out.weight.shape[0]))
+    q_h, k_t, v_h = (split(linear(p.q, q), (0, 2, 1, 3)), split(linear(p.k, k), (0, 2, 3, 1)),
+                     split(linear(p.v, v), (0, 2, 1, 3)))
+    d = p.out.weight.shape[0]
+    weights = T.softmax_rows(T.matmul(q_h, k_t), scale=1.0 / math.sqrt(d))
+    merged = T.reshape(T.transpose(T.matmul(weights, v_h), (0, 2, 1, 3)), (q.shape[0], d))
     return linear(p.out, merged)
 
 

@@ -11,8 +11,9 @@ a pool thread if that work is pooled, see workers.POOL_BYTES).
 
 Version 2 names the fused attention projections (``blocks.0.mha_2d.q.weight``
 where version 1 had ``blocks.0.mha_2d.heads.0.q.weight``); version 1 files
-are rejected. A file is written to a temporary file beside it and moved into
-place, so a failed write leaves any earlier file at the path intact.
+are rejected, and so is a file without the head counts (_named_arrays). A
+file is written to a temporary file beside it and moved into place, so a
+failed write leaves any earlier file at the path intact.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from . import blocks as B
 from . import workers as W
 from .model import HeadParams
 from .training import AdamState
@@ -195,11 +197,14 @@ def read_tensors(path) -> dict[str, np.ndarray]:
 
 
 def _named_arrays(params: HeadParams, opt_state: Optional[AdamState]) -> dict[str, np.ndarray]:
-    """The checkpoint's name -> array layout: the plain parameter names,
-    then, with opt_state, a 0-d float64 ``adam.step`` and ``adam.m.<name>``,
-    ``adam.v.<name>``. Every array but adam.step is, or views, one that
-    params or opt_state holds, so a load writes into it in place."""
-    arrays = {n: t.data for n, t in params.named_parameters()}
+    """The checkpoint's name -> array layout: params' walk (blocks.named_leaves),
+    each parameter by its name and each head count, which sets no shape, as
+    a 0-d float64 (``blocks.0.mha_2d.h``); then, with opt_state, a 0-d
+    float64 ``adam.step`` and ``adam.m.<name>``, ``adam.v.<name>``. Every
+    array but the head counts and adam.step is, or views, one that params
+    or opt_state holds, so a load writes into it in place."""
+    arrays = {n: np.array(leaf, dtype=np.float64) if isinstance(leaf, int) else leaf.data
+              for n, leaf in B.named_leaves(params)}
     if opt_state is not None:
         arrays["adam.step"] = np.array(opt_state.step, dtype=np.float64)
         for prefix, flat in (("adam.m.", opt_state.m_flat), ("adam.v.", opt_state.v_flat)):
@@ -220,9 +225,10 @@ def load_checkpoint(path, params: HeadParams,
     Every value is copied into the array the structure already holds, so a
     parameter keeps its .data (an Adam arena view stays one). Pass an
     AdamState to restore optimizer moments too; a checkpoint saved without
-    them then fails with FormatError. Every name and shape, and that
-    adam.step is a whole number in [0, 2**63), is checked before the first
-    copy, so a FormatError leaves params and opt_state untouched.
+    them then fails with FormatError. Every name and shape, that every
+    head count equals params', and that adam.step is a whole number in
+    [0, 2**63), is checked before the first copy, so a FormatError leaves
+    params and opt_state untouched.
     """
     tensors = read_tensors(path)
     targets = _named_arrays(params, opt_state)
@@ -236,6 +242,9 @@ def load_checkpoint(path, params: HeadParams,
                   and not (opt_state is None and k.startswith("adam."))]
     if unexpected:
         raise FormatError(f"{path}: unexpected tensors {unexpected[:5]}")
+    for name, h in B.named_leaves(params):
+        if isinstance(h, int) and tensors[name] != h:
+            raise FormatError(f"{path}: {name} is {float(tensors[name]):g}, the head has {h}")
     if opt_state is not None:
         step = float(tensors["adam.step"])
         if not (step.is_integer() and 0 <= step < 2 ** 63):

@@ -54,8 +54,6 @@ class HeadConfig:
     n_patches: int = 64       # source tokens (8x8 backbone grid)
     c_in: int = 512           # backbone channels per patch
     dropout: float = 0.1
-    # attention score divisor; defaults to the model-wide width d
-    attn_scale_dim: Optional[int] = None
 
     def __post_init__(self):
         for name in ("L", "h", "d", "n_patches", "c_in"):
@@ -63,14 +61,8 @@ class HeadConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d % self.h != 0:
             raise ValueError(f"width d={self.d} must be divisible by h={self.h} heads")
-        if self.scale_dim <= 0:
-            raise ValueError(f"attn_scale_dim must be positive, got {self.attn_scale_dim}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    @property
-    def scale_dim(self) -> int:
-        return self.attn_scale_dim if self.attn_scale_dim is not None else self.d
 
 
 # (joint, type) of each template row: keypoint j on joint j, twist j on
@@ -150,12 +142,12 @@ def allocate_head(cfg: HeadConfig, jobs: list, dtype=T.DEFAULT_DTYPE) -> HeadPar
     templates = Templates(B.init_params(cfg.c_in, cfg.d, jobs, dtype),
                           empty(cfg.n_patches), empty(cfg.n_joints), empty(3))
     blocks = [BlockParams(
-        mha_2d=B.init_mha(cfg.d, cfg.h, jobs, cfg.scale_dim, dtype),
+        mha_2d=B.init_mha(cfg.d, cfg.h, jobs, dtype),
         ln_2d=_init_layer_norm(cfg.d, dtype),
         ffn_2d=B.init_ffn(cfg.d, jobs, dtype),
-        mha_3d=B.init_mha(cfg.d, cfg.h, jobs, cfg.scale_dim, dtype),
+        mha_3d=B.init_mha(cfg.d, cfg.h, jobs, dtype),
         ln_3d=_init_layer_norm(cfg.d, dtype),
-        mha_cross=B.init_mha(cfg.d, cfg.h, jobs, cfg.scale_dim, dtype),
+        mha_cross=B.init_mha(cfg.d, cfg.h, jobs, dtype),
         ln_cross=_init_layer_norm(cfg.d, dtype),
         ffn_3d=B.init_ffn(cfg.d, jobs, dtype),
     ) for _ in range(cfg.L)]

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifthead import blocks as B
-from lifthead import model as M
 from lifthead import tensor as T
 from lifthead.gradcheck import check_op
 
@@ -27,12 +26,13 @@ def t64(a, grad=False):
     return T.Tensor(np.asarray(a, dtype=np.float64), requires_grad=grad)
 
 
-def attention_oracle(q, k, v, scale_dim):
-    """Two-loop reference: softmax over keys, row by row."""
+def attention_oracle(q, k, v, d):
+    """Two-loop reference of softmax(q k^T / sqrt(d)) v: softmax over keys,
+    row by row."""
     m, n = q.shape[0], k.shape[0]
     out = np.zeros((m, v.shape[1]))
     for i in range(m):
-        logits = np.array([q[i] @ k[j] for j in range(n)]) / math.sqrt(scale_dim)
+        logits = np.array([q[i] @ k[j] for j in range(n)]) / math.sqrt(d)
         w = np.exp(logits - logits.max())
         w = w / w.sum()
         for j in range(n):
@@ -41,14 +41,16 @@ def attention_oracle(q, k, v, scale_dim):
 
 
 def per_head_oracle(p, q, k, v):
-    """Per-head loop over column slices of the fused projections."""
-    dk = p.q.weight.shape[1] // p.h
+    """Per-head loop over column slices of the fused projections; every
+    head divides its scores by sqrt(d), the full width."""
+    d = p.q.weight.shape[1]
+    dk = d // p.h
     head_outs = []
     for i in range(p.h):
         cols = slice(i * dk, (i + 1) * dk)
         qh, kh, vh = (x @ lp.weight.data[:, cols] + lp.bias.data[cols]
                       for x, lp in ((q, p.q), (k, p.k), (v, p.v)))
-        head_outs.append(attention_oracle(qh, kh, vh, p.scale_dim))
+        head_outs.append(attention_oracle(qh, kh, vh, d))
     return np.concatenate(head_outs, axis=1) @ p.out.weight.data + p.out.bias.data
 
 
@@ -57,64 +59,65 @@ def identity_linear(d):
                           bias=t64(np.zeros(d), grad=True))
 
 
+def attend(q, k, v, batch=1):
+    """multi_head_attention with one head and identity projections: the
+    attention core softmax(q k^T / sqrt(d)) v alone, for (batch*m, d)
+    queries and (batch*n, d) keys and values."""
+    d = q.shape[-1]
+    p = B.MHAParams(q=identity_linear(d), k=identity_linear(d), v=identity_linear(d),
+                    out=identity_linear(d), h=1)
+    return B.multi_head_attention(p, q, k, v, batch=batch)
+
+
 class TestAttention:
     def test_single_key_returns_value_row(self):
         rng = np.random.default_rng(0)
         q = t64(rng.normal(size=(3, 4)))
         k = t64(rng.normal(size=(1, 4)))
-        v = t64(rng.normal(size=(1, 5)))
-        out = B.attention(q, k, v, scale_dim=4)
+        v = t64(rng.normal(size=(1, 4)))
+        out = attend(q, k, v)
         np.testing.assert_allclose(out.data, np.repeat(v.data, 3, axis=0), atol=1e-12)
 
     def test_zero_query_uniform_mean(self):
         rng = np.random.default_rng(1)
-        v = rng.normal(size=(5, 3))
-        out = B.attention(t64(np.zeros((2, 4))), t64(rng.normal(size=(5, 4))),
-                          t64(v), scale_dim=4)
+        v = rng.normal(size=(5, 4))
+        out = attend(t64(np.zeros((2, 4))), t64(rng.normal(size=(5, 4))), t64(v))
         np.testing.assert_allclose(out.data, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
 
     def test_matches_two_loop_oracle(self):
         rng = np.random.default_rng(2)
         q, k, v = rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        out = B.attention(t64(q), t64(k), t64(v), scale_dim=4)
+        out = attend(t64(q), t64(k), t64(v))
         np.testing.assert_allclose(out.data, attention_oracle(q, k, v, 4), atol=1e-6)
 
     def test_convex_hull_property(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             q, k, v = (rng.normal(size=(4, 6)), rng.normal(size=(5, 6)),
-                       rng.normal(size=(5, 3)))
-            out = B.attention(t64(q), t64(k), t64(v), scale_dim=6).data
+                       rng.normal(size=(5, 6)))
+            out = attend(t64(q), t64(k), t64(v)).data
             lo, hi = v.min(axis=0), v.max(axis=0)
             assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
 
     def test_key_value_permutation_invariance(self):
         rng = np.random.default_rng(4)
-        q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(6, 4)), rng.normal(size=(6, 5))
+        q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
         perm = rng.permutation(6)
-        a = B.attention(t64(q), t64(k), t64(v), scale_dim=4).data
-        b = B.attention(t64(q), t64(k[perm]), t64(v[perm]), scale_dim=4).data
+        a = attend(t64(q), t64(k), t64(v)).data
+        b = attend(t64(q), t64(k[perm]), t64(v[perm])).data
         np.testing.assert_allclose(a, b, atol=1e-6)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(T.ShapeError):
-            B.attention(t64(np.zeros((2, 3))), t64(np.zeros((4, 5))),
-                        t64(np.zeros((4, 2))), scale_dim=3)
-        with pytest.raises(T.ShapeError):
-            B.attention(t64(np.zeros((2, 3))), t64(np.zeros((4, 3))),
-                        t64(np.zeros((5, 2))), scale_dim=3)
-
     def test_batched_matches_per_sample(self):
-        # leading axes: the widths and counts are read from the last two axes,
-        # so 3 queries attend over 5 keys of width 4 in each of 2 samples
+        # 3 queries attend over 5 keys of width 4 in each of 2 samples; no
+        # query sees the other sample's keys
         rng = np.random.default_rng(5)
         q, k, v = (rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4)),
-                   rng.normal(size=(2, 5, 6)))
-        out = B.attention(t64(q), t64(k), t64(v), scale_dim=4).data
-        assert out.shape == (2, 3, 6)
+                   rng.normal(size=(2, 5, 4)))
+        out = attend(*(t64(x.reshape(-1, 4)) for x in (q, k, v)), batch=2).data
+        assert out.shape == (6, 4)
         for b in range(2):
-            np.testing.assert_allclose(out[b], attention_oracle(q[b], k[b], v[b], 4),
-                                       atol=1e-12)
+            np.testing.assert_allclose(out[3 * b:3 * (b + 1)],
+                                       attention_oracle(q[b], k[b], v[b], 4), atol=1e-12)
 
 
 class TestMultiHeadAttention:
@@ -122,15 +125,14 @@ class TestMultiHeadAttention:
         d = 4
         rng = np.random.default_rng(5)
         q, k, v = rng.normal(size=(3, d)), rng.normal(size=(5, d)), rng.normal(size=(5, d))
-        p = B.MHAParams(q=identity_linear(d), k=identity_linear(d), v=identity_linear(d),
-                        out=identity_linear(d), h=1, scale_dim=d)
-        got = B.multi_head_attention(p, t64(q), t64(k), t64(v))
-        want = B.attention(t64(q), t64(k), t64(v), scale_dim=d)
-        np.testing.assert_allclose(got.data, want.data, atol=1e-6)
+        scores = q @ k.T / math.sqrt(d)
+        weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+        want = weights / weights.sum(axis=1, keepdims=True) @ v
+        np.testing.assert_allclose(attend(t64(q), t64(k), t64(v)).data, want, atol=1e-12)
 
     def test_output_shape(self):
         rng = np.random.default_rng(6)
-        p = drawn(rng, B.init_mha, d=8, h=2, scale_dim=8, dtype=np.float64)
+        p = drawn(rng, B.init_mha, d=8, h=2, dtype=np.float64)
         out = B.multi_head_attention(p, t64(rng.normal(size=(5, 8))),
                                      t64(rng.normal(size=(7, 8))),
                                      t64(rng.normal(size=(7, 8))))
@@ -139,7 +141,7 @@ class TestMultiHeadAttention:
     def test_matches_per_head_loop_oracle(self):
         d, h = 8, 2
         rng = np.random.default_rng(7)
-        p = drawn(rng, B.init_mha, d=d, h=h, scale_dim=d, dtype=np.float64)
+        p = drawn(rng, B.init_mha, d=d, h=h, dtype=np.float64)
         # break the zero-bias symmetry so the oracle exercises biases too
         for lp in (p.q, p.k, p.v, p.out):
             lp.bias.data = rng.normal(size=d)
@@ -153,7 +155,7 @@ class TestMultiHeadAttention:
     def test_batched_matches_per_sample_oracle(self, h, dk, batch, m, n, seed):
         d = h * dk
         rng = np.random.default_rng(seed)
-        p = drawn(rng, B.init_mha, d=d, h=h, scale_dim=d, dtype=np.float64)
+        p = drawn(rng, B.init_mha, d=d, h=h, dtype=np.float64)
         for lp in (p.q, p.k, p.v, p.out):
             lp.bias.data = rng.normal(size=d)
         q = rng.normal(size=(batch, m, d))
@@ -164,14 +166,14 @@ class TestMultiHeadAttention:
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
 
     def test_rows_must_split_into_samples(self):
-        p = drawn(np.random.default_rng(0), B.init_mha, d=4, h=2, scale_dim=4, dtype=np.float64)
+        p = drawn(np.random.default_rng(0), B.init_mha, d=4, h=2, dtype=np.float64)
         x = t64(np.zeros((5, 4)))
         with pytest.raises(T.ShapeError, match="samples"):
             B.multi_head_attention(p, x, x, x, batch=2)
 
     def test_fused_init_is_concatenated_per_head_draws(self):
         d, h = 12, 3
-        got = drawn(np.random.default_rng(3), B.init_mha, d=d, h=h, scale_dim=d)
+        got = drawn(np.random.default_rng(3), B.init_mha, d=d, h=h)
         rng = np.random.default_rng(3)
         heads = [[drawn(rng, B.init_params, d, d // h) for _ in range(3)] for _ in range(h)]
         out = drawn(rng, B.init_params, d, d)
@@ -182,19 +184,9 @@ class TestMultiHeadAttention:
             np.testing.assert_array_equal(lp.bias.data, np.zeros(d, dtype=np.float32))
         np.testing.assert_array_equal(got.out.weight.data, out.weight.data)
 
-    def test_scale_dim_defaults_to_model_width(self):
-        """HeadConfig turns attn_scale_dim None into d; every attention of
-        the head gets its scale_dim, unset or set."""
-        for attn_scale_dim, want in ((None, 8), (4, 4)):
-            cfg = M.HeadConfig(L=2, h=2, d=8, n_patches=4, c_in=4,
-                               attn_scale_dim=attn_scale_dim)
-            blocks = M.allocate_head(cfg, []).blocks
-            assert [p.scale_dim for b in blocks
-                    for p in (b.mha_2d, b.mha_3d, b.mha_cross)] == [want] * 6
-
     def test_indivisible_heads_rejected(self):
         with pytest.raises(T.ShapeError):
-            drawn(np.random.default_rng(0), B.init_mha, d=8, h=3, scale_dim=8)
+            drawn(np.random.default_rng(0), B.init_mha, d=8, h=3)
 
 
 class TestFeedForward:
@@ -259,8 +251,7 @@ class TestComposedGradients:
         rng = np.random.default_rng(9)
         q, k, v = (rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (4, 3)),
                    rng.uniform(-1, 1, (4, 3)))
-        err = check_op(
-            lambda t: T.sum_(B.attention(t[0], t[1], t[2], scale_dim=3)), [q, k, v])
+        err = check_op(lambda t: T.sum_(attend(*t)), [q, k, v])
         assert err < 1e-5
 
     def test_mha_gradcheck_all_params(self):
@@ -273,7 +264,7 @@ class TestComposedGradients:
 
         def build(ts):
             q_p, k_p, v_p, out_p = (B.LinearParams(ts[i], ts[4 + i]) for i in range(4))
-            p = B.MHAParams(q=q_p, k=k_p, v=v_p, out=out_p, h=h, scale_dim=d)
+            p = B.MHAParams(q=q_p, k=k_p, v=v_p, out=out_p, h=h)
             return T.sum_(B.multi_head_attention(
                 p, T.Tensor(q, dtype=np.float64), T.Tensor(k, dtype=np.float64),
                 T.Tensor(v, dtype=np.float64)))

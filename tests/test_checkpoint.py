@@ -739,30 +739,55 @@ class TestModelCheckpoints:
 
     def test_missing_tensor_named(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        src = make_params(seed=1)
-        tensors = {n: t.data for n, t in src.named_parameters()}
+        tensors = C._named_arrays(make_params(seed=1), None)
         del tensors["proj_beta.bias"]
         write_tensors(path, tensors)
-        with pytest.raises(FormatError, match="proj_beta.bias"):
+        with pytest.raises(FormatError, match="missing tensor proj_beta.bias"):
             load_checkpoint(path, make_params(seed=2))
 
     def test_shape_mismatch_named(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        src = make_params(seed=1)
-        tensors = {n: t.data for n, t in src.named_parameters()}
+        tensors = C._named_arrays(make_params(seed=1), None)
         tensors["templates.pos_enc"] = np.zeros((2, 8), dtype=np.float32)
         write_tensors(path, tensors)
-        with pytest.raises(FormatError, match="templates.pos_enc"):
+        with pytest.raises(FormatError, match="tensor templates.pos_enc has shape"):
             load_checkpoint(path, make_params(seed=2))
 
     def test_unexpected_tensor_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        src = make_params(seed=1)
-        tensors = {n: t.data for n, t in src.named_parameters()}
+        tensors = C._named_arrays(make_params(seed=1), None)
         tensors["who.is.this"] = np.zeros(3, dtype=np.float32)
         write_tensors(path, tensors)
-        with pytest.raises(FormatError, match="unexpected"):
+        with pytest.raises(FormatError, match=re.escape("unexpected tensors ['who.is.this']")):
             load_checkpoint(path, make_params(seed=2))
+
+    def test_head_counts_are_stated_in_walk_order(self, tmp_path):
+        """Each attention's h follows its output projection's bias."""
+        path = tmp_path / "m.ckpt"
+        src = M.init_head(HeadConfig(L=2, h=4, d=8, n_patches=4, c_in=4),
+                          np.random.default_rng(0))
+        save_checkpoint(src, None, path)
+        saved = read_tensors(path)
+        heads = [f"blocks.{i}.{m}.h" for i in range(2) for m in ("mha_2d", "mha_3d", "mha_cross")]
+        assert [n for n in saved if n not in heads] == [n for n, _ in src.named_parameters()]
+        for name in heads:
+            assert list(saved)[list(saved).index(name) - 1] == name[:-1] + "out.bias"
+            assert (saved[name].shape, saved[name].dtype, saved[name][()]) == ((), np.float64, 4.0)
+
+    @pytest.mark.parametrize("name", ["blocks.0.mha_2d.h", "blocks.0.mha_3d.h",
+                                      "blocks.0.mha_cross.h"])
+    @pytest.mark.parametrize("h", [1.0, 4.0, 2.5, np.nan, None])
+    def test_other_or_missing_head_count_changes_nothing(self, tmp_path, name, h):
+        """h sets no shape: each stated head count must equal the head's 2,
+        and a file without one (written before they were stated) is rejected."""
+        tensors, _ = self._saved_with_state()
+        if h is None:
+            del tensors[name]
+            match = f"missing tensor {name}"
+        else:
+            tensors[name] = np.array(h)
+            match = f"{name} is {h:g}, the head has 2"
+        self._load_fails_and_changes_nothing(tmp_path / "m.ckpt", tensors, match)
 
     def test_version_1_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -802,8 +827,8 @@ class TestGoldenLayout:
         digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("p.ckpt", "a.ckpt")]
         assert digests == [
-            "35deeb637ba69931cbcd82d88d845929c403eb4474e6445b0d0e1026f8e9a496",
-            "898919d9d162a184a98e30b635e4fc6842adece1837a12547f740c78b7279231"]
+            "7be725ab3a7d4bcb58bddf09abc406a6499a65d8cea7241370865b115137ea24",
+            "68c69f77e124eb868c60e9e07f2d52a4284474abebc3394dfefb624e16572a9c"]
 
 
 tensor_maps = st.dictionaries(

@@ -67,7 +67,6 @@ RULE_VALUES = {
     "max_lr": ["-1", "nan", "1e-3"],
     "batch_size": ["0", "4"],
     "dropout": ["-0.5", "1", "0.2"],
-    "attn_scale_dim": ["none", "0", "8"],
 }
 RULE_SHAPES = [("32", "2"), ("16", "4"), ("30", "4"), ("32", "0")]
 
@@ -93,7 +92,6 @@ ECHO_DEFAULT = (
     "config.n_patches\t64\n"
     "config.c_in\t512\n"
     "config.dropout\t0.1\n"
-    "config.attn_scale_dim\tnone\n"
     "config.max_lr\t0.0005\n"
     "config.warmup_steps\t4000\n"
     "config.epochs\t200\n"
@@ -122,7 +120,6 @@ ECHO_TINY = (
     "config.n_patches\t16\n"
     "config.c_in\t32\n"
     "config.dropout\t0\n"
-    "config.attn_scale_dim\tnone\n"
     "config.max_lr\t0.0056\n"
     "config.warmup_steps\t400\n"
     "config.epochs\t500\n"
@@ -204,7 +201,7 @@ class TestConfigResolution:
         layout constants are the shapes of the synthetic targets."""
         hc = M.HeadConfig
         names = [f.name for f in dataclasses.fields(hc)]
-        assert names == ["L", "h", "d", "n_patches", "c_in", "dropout", "attn_scale_dim"]
+        assert names == ["L", "h", "d", "n_patches", "c_in", "dropout"]
         assert names == [f.name for f in FIELDS if f.section == "model"]
         _, target = S.generate(1, S.SyntheticGen(n_patches=4, c_in=32))[0]
         assert [t.shape for t in (target.keypoints, target.twists, target.beta)] == [
@@ -304,12 +301,18 @@ class TestConfigErrors:
         code, _, err = run_cli(["params", "--d", "33", "--h", "8"], capsys)
         assert code == 1 and "d=33" in err
 
-    @pytest.mark.parametrize("argv", [["params", "--attn-scale-dim", "0"],
-                                      ["train", "--profile", "tiny", "--attn-scale-dim", "-4"]])
-    def test_non_positive_attn_scale_dim_names_field(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("argv", [["params", "--attn-scale-dim", "8"],
+                                      ["train", "--profile", "tiny", "--config", "old.ini"]])
+    def test_attn_scale_dim_is_an_unknown_field(self, capsys, tmp_path, monkeypatch, argv):
+        """The attention divisor is sqrt(d), not a setting: a flag or a
+        config file that names one fails before any work."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "old.ini").write_text("[model]\nattn_scale_dim = 8\n")
         code, _, err = run_cli([*argv, "--out", str(tmp_path / "run")], capsys)
         assert code == 1
-        assert err.startswith("config error: attn_scale_dim must be positive"), err
+        want = ("unrecognized arguments: --attn-scale-dim 8" if "--config" not in argv
+                else "config: unknown field 'attn_scale_dim' in [model]")
+        assert err == f"config error: {want}\n", err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("field, value", [
@@ -396,7 +399,6 @@ class TestConfigErrors:
         for f in FIELDS:
             assert f"[{f.section}] {f.name}, default " in text, f.name
         for entry in ("[model] d, default 512", "[model] dropout, default 0.1",
-                      "[model] attn_scale_dim, default none",
                       "[train] max_lr, default 0.0005", "[train] w_beta, default 1",
                       "[data] noise_sigma, default 0.01", "[io] out_dir, default runs",
                       "[io] checkpoint, default unset"):
@@ -638,6 +640,27 @@ class TestEval:
             code, _, err = run_cli(["eval", *MICRO, "--checkpoint", str(path)], capsys)
             assert code == 1
             assert err.startswith("checkpoint error: "), err
+
+    @pytest.mark.parametrize("h", ["1", "4"])
+    def test_checkpoint_of_another_head_count_exits_one(self, capsys, tmp_path, monkeypatch, h):
+        """The checkpoint states h, which sets no parameter shape: eval with
+        another h exits 1 before it writes a parameter."""
+        path = self.run_train(capsys, tmp_path) / "averaged.ckpt"
+        made, allocate_head = [], M.allocate_head
+
+        def allocate(*args, **kw):
+            params = allocate_head(*args, **kw)
+            for _, t in params.named_parameters():
+                t.data[...] = 7.0
+            made.append(params)
+            return params
+
+        monkeypatch.setattr(M, "allocate_head", allocate)
+        code, out, err = run_cli(["eval", *MICRO, "--h", h, "--checkpoint", str(path)], capsys)
+        assert code == 1
+        assert err == f"checkpoint error: {path}: blocks.0.mha_2d.h is 2, the head has {h}\n"
+        assert "eval." not in out
+        assert all((t.data == 7.0).all() for _, t in made[0].named_parameters())
 
     def test_degenerate_twist_output_has_its_own_message(self, capsys, tmp_path):
         out_dir = self.run_train(capsys, tmp_path)

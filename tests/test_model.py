@@ -54,13 +54,14 @@ def np_layer_norm(x, gamma, beta, eps=1e-5):
 
 def np_mha(p, q, k, v):
     """Per-head loop; head i uses columns [i*d/h, (i+1)*d/h) of q, k, v."""
-    dk = p.q.weight.shape[1] // p.h
+    d = p.q.weight.shape[1]
+    dk = d // p.h
     outs = []
     for i in range(p.h):
         cols = slice(i * dk, (i + 1) * dk)
         qi, ki, vi = (x @ lp.weight.data[:, cols] + lp.bias.data[cols]
                       for x, lp in ((q, p.q), (k, p.k), (v, p.v)))
-        att = np_softmax(qi @ ki.T / np.sqrt(p.scale_dim))
+        att = np_softmax(qi @ ki.T / np.sqrt(d))
         outs.append(att @ vi)
     return np_linear(p.out, np.concatenate(outs, axis=1))
 
@@ -100,14 +101,10 @@ class TestHeadConfig:
         assert cfg.L == 6 and cfg.h == 8 and cfg.d == 512
         assert cfg.n_patches == 64 and cfg.c_in == 512 and cfg.dropout == 0.1
         assert cfg.n_templates == 48
-        assert cfg.scale_dim == 512
 
     def test_width_must_divide_heads(self):
         with pytest.raises(ValueError, match="divisible"):
             HeadConfig(d=10, h=3)
-
-    def test_scale_dim_override(self):
-        assert HeadConfig(attn_scale_dim=64).scale_dim == 64
 
     def test_pose_dim_counts_every_output_value(self):
         cfg = tiny_cfg()
@@ -121,11 +118,6 @@ class TestHeadConfig:
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             HeadConfig(**{field: value})
-
-    @pytest.mark.parametrize("value", [0, -4])
-    def test_attn_scale_dim_must_be_positive(self, value):
-        with pytest.raises(ValueError, match=f"attn_scale_dim must be positive, got {value}"):
-            HeadConfig(attn_scale_dim=value)
 
 
 # ---------------------------------------------------------------- templates
@@ -520,7 +512,7 @@ def unhoisted_encode_decode(cfg, params, features, *, training=False, rng=None,
 
         scores = T.scale(T.matmul(split(B.linear(p.q, q), (0, 2, 1, 3)),
                                   split(B.linear(p.k, k), (0, 2, 3, 1))),
-                         1.0 / np.sqrt(p.scale_dim))
+                         1.0 / np.sqrt(p.out.weight.shape[0]))
         heads = T.matmul(T.softmax_rows(scores), split(B.linear(p.v, v), (0, 2, 1, 3)))
         out = B.linear(p.out, T.reshape(T.transpose(heads, (0, 2, 1, 3)), q.shape))
         return T.dropout(out, dropout_p, rng)
@@ -968,7 +960,7 @@ class TestSplitDraws:
         rng, want_rng = self.generator(kind, seed, 1), self.generator(kind, seed, 1)
         with pytest.MonkeyPatch.context() as mp:
             self.split_forced(mp, parts, 2)
-            mha = drawn(rng, B.init_mha, d, h, scale_dim=d, dtype=dtype)
+            mha = drawn(rng, B.init_mha, d, h, dtype=dtype)
             ffn = drawn(rng, B.init_ffn, d, dtype=dtype)
         # head i's q, k, v columns, then the output projection, then the FFN
         got = [p.weight.data[:, i * dh:(i + 1) * dh] for i in range(h)

@@ -1,7 +1,8 @@
-"""tools/pairs.py's summary of alternating benchmark pairs, on canned runs;
-the benchmark itself is never run here."""
+"""tools/pairs.py's summary of alternating benchmark pairs, on canned runs
+and stub checkouts; the benchmark itself is never run here."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -61,3 +62,51 @@ def test_failed_share_and_seeds():
     assert pairs.failed_share(runs([1.0, 1.0], [1, 1], failed=1)) == 0.1
     assert pairs.failed_share([]) == 0.0
     assert pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
+
+
+STUB_RUN = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed in {fail}:
+    sys.exit(1)
+print("warming up")
+print(json.dumps({{"attempted": 10, "failed": 0, "metrics": {{
+    "setup_s": {{"value": float(seed)}}, "train_samples_per_s": {{"value": 100.0}}}}}}))
+"""
+
+
+def stub_checkout(root, fail=()):
+    """A checkout whose perfbench/run.py prints one result line, seed s
+    giving setup_s = s, and exits 1 for the seeds in fail."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_RUN.format(fail=set(fail) or "set()"))
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 0,
+                                                     "end_to_end": END_TO_END}))
+    return str(root)
+
+
+def test_a_failed_run_is_reported_and_its_pair_left_out(tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent")
+    change = stub_checkout(tmp_path / "change", fail=[2])
+    code = pairs.main([parent, change, "--workload", "w", "--seeds", "1-3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "run\t2\tchange\tfailed: exit status 1\n" in out
+    assert "1 pair(s) left out: a run failed\n" in out
+    # medians and ties over the pairs of seeds 1 and 3 only
+    setup = next(line.split() for line in out.splitlines() if line.startswith("setup_s "))
+    assert setup[1:3] == ["2", "2"] and setup[4] == "0/0/2" and setup[-1] == "ok"
+
+
+def test_every_run_failed(tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent", fail=[1])
+    change = stub_checkout(tmp_path / "change", fail=[1])
+    assert pairs.main([parent, change, "--workload", "w", "--seeds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("failed: exit status 1") == 2 and "setup_s" not in out
+
+
+def test_clean_pairs_exit_zero(tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent")
+    change = stub_checkout(tmp_path / "change")
+    assert pairs.main([parent, change, "--workload", "w", "--seeds", "1-2"]) == 0
+    assert "left out" not in capsys.readouterr().out

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lifthead import gradcheck as G
 from lifthead import tensor as T
 from lifthead.gradcheck import check_op, numeric_grad, primitive_checks, rel_error
 
@@ -60,9 +61,10 @@ class TestMatmul:
         ((688, 512), 512), ((768, 512), 512), ((2, 344, 512), 512), ((256, 32), 32)])
     def test_input_gradient_is_the_product_with_a_copied_transpose(self, a_shape, k):
         """The backward reads the weight through its transposed view; on the
-        BLAS build the tiny digests were recorded with, that gives the bytes
-        of the product with a contiguous copy, so the digests hold."""
-        from test_training import PINNED_TINY_BLAS, blas_key
+        build, OpenBLAS cores and thread counts the tiny digests were recorded
+        with, that gives the bytes of the product with a contiguous copy, so
+        the digests hold."""
+        from test_training import pinned_tiny_bytes
         rng = np.random.default_rng(k)
         a = T.Tensor(rng.standard_normal(a_shape, dtype=np.float32), requires_grad=True)
         w = T.Tensor(rng.standard_normal((k, k), dtype=np.float32), requires_grad=True)
@@ -73,9 +75,7 @@ class TestMatmul:
         copied = g @ np.ascontiguousarray(w.data.T)
         np.testing.assert_allclose(da, copied, rtol=1e-5, atol=1e-4)
         assert dw.tobytes() == (a.data.reshape(-1, k).T @ g.reshape(-1, k)).tobytes()
-        if blas_key() != PINNED_TINY_BLAS:
-            pytest.skip(f"the bytes were compared with numpy and BLAS {PINNED_TINY_BLAS}; "
-                        f"this build is {blas_key()}, whose kernels may round differently")
+        pinned_tiny_bytes()  # skips where no digests were recorded
         assert da.tobytes() == copied.tobytes()
 
     def test_leading_dims_must_match(self):
@@ -383,6 +383,33 @@ class TestFiniteDifferenceContract:
     def test_fault_injection_detected(self):
         err = check_op(*primitive_checks(seed=11)["matmul"], fault=0.01)
         assert err > 1e-6
+
+    @pytest.mark.parametrize("c, want", [(0.5, 0.01 * 0.5), (2.0, 0.01 * 2.0 / 2.02)])
+    def test_fault_multiplies_the_analytic_gradient(self, c, want):
+        """The tape's gradient c of sum(c x) becomes c * 1.01; the error is
+        0.01 c under rel_error's floor of 1, and 0.01 c / 1.01 c above it."""
+        err = check_op(lambda t: T.sum_(T.scale(t[0], c)), [np.ones((2, 3))], fault=0.01)
+        assert err == pytest.approx(want, rel=1e-6)
+
+    def test_an_error_at_the_tolerance_fails(self, monkeypatch):
+        monkeypatch.setattr(G, "check_op", lambda make_scalar, inputs: G.PRIMITIVE_TOLERANCE)
+        assert not any(ok for _, _, ok in G.run_primitive_suite())
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_relu_and_abs_are_checked_on_both_sides_of_zero(self, seed):
+        rows = primitive_checks(seed)
+        for name in ("relu", "abs", "relu_dropout", "layer_norm_relu"):
+            x = rows[name][1][0]
+            assert (x < 0).any() and (x > 0).any(), name
+
+    def test_scale_row_catches_a_dropped_sign(self, monkeypatch):
+        """The scale row's factor is negative, so a backward that multiplies
+        by its magnitude fails the row."""
+        def unsigned_scale(x, c):
+            return T._maybe_record(T.Tensor(x.data * c), (x,), lambda g: (g * abs(c),))
+
+        monkeypatch.setattr(T, "scale", unsigned_scale)
+        assert check_op(*primitive_checks()["scale"]) > 1e-6
 
     def test_every_primitive_has_a_row(self):
         """Every function of lifthead.tensor that defines a backward records

@@ -1,6 +1,7 @@
 """Schedule, Adam, augmentation, loss, averaging, and train-loop tests."""
 
 import copy
+import ctypes
 import hashlib
 import math
 import threading
@@ -1049,23 +1050,42 @@ class TestEvaluate:
 
 
 def blas_key():
-    """numpy's version, the OpenBLAS build string (version and build-time
-    core) and the SIMD extensions found at run time, which choose the core
-    whose kernels a DYNAMIC_ARCH OpenBLAS runs."""
+    """(build, run time) of this process's numpy and BLAS. The build is
+    numpy's version, the OpenBLAS build string and the SIMD extensions
+    numpy found at run time, which choose numpy's own kernels. The run time
+    is the core whose kernels a DYNAMIC_ARCH OpenBLAS runs (picked from the
+    CPU at load, or forced by OPENBLAS_CORETYPE) and its thread count, or
+    None where no scipy-openblas library is loaded."""
     config = np.show_config(mode="dicts")
     blas = config.get("Build Dependencies", {}).get("blas", {})
-    return (np.__version__, blas.get("openblas configuration"),
-            tuple(config.get("SIMD Extensions", {}).get("found", ())))
+    build = (np.__version__, blas.get("openblas configuration"),
+             tuple(config.get("SIMD Extensions", {}).get("found", ())))
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            core = lib.scipy_openblas_get_corename64_
+            threads = lib.scipy_openblas_get_num_threads64_
+            core.argtypes, core.restype = [], ctypes.c_char_p
+            threads.argtypes, threads.restype = [], ctypes.c_int
+            return build, (core().decode(), threads())
+    return build, None
 
 
 # SHA-256 of a tiny-profile 3-epoch train() on 64 samples, as lifthead train
 # --profile tiny --epochs 3 runs it, by dropout: last_params and the averaged
 # params (names and bytes in walk order), and the float64 bytes of the step
-# losses. The thread count does not change them; the BLAS kernels may.
-PINNED_TINY_BLAS = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
-                    "NO_AFFINITY Haswell MAX_THREADS=64",
-                    ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
-PINNED_TINY_BYTES = {
+# losses. Recorded on one build, by the OpenBLAS core and thread count that
+# ran them: the kernels round GEMM sums differently, and Haswell's differ
+# between 1 thread and 2-4. Any other core or count skips.
+PINNED_TINY_BUILD = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
+                     "NO_AFFINITY Haswell MAX_THREADS=64",
+                     ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+_SKYLAKEX = {
     0.0: ("c795b5e15bfa9290f8ad01aa2c98cf42bf1e8f937fb0394e56e886eb67c6c9b8",
           "32820b018e84f72199e0ee3952a605207ea1489839277fa24821c17af79b2291",
           "2938dbb680f6c9a8822d5f013819aee3ed3eb5da6103cfeadc94b353058a0d83"),
@@ -1073,6 +1093,38 @@ PINNED_TINY_BYTES = {
           "e76907ec688ab00da73d794af2e41bec2727510ddbb1842f28dd945e0db7073d",
           "7619ff4ff3d5a08db19591291bcd65fdee5a576eedde98d58746a7a1ad66dea8"),
 }
+_HASWELL_1_THREAD = {
+    0.0: ("04509a51e2ad8e2114ae939cec4e0355cbdb931a63cf3a461e88c93fdc9ec555",
+          "dc8e74a4382e84ae9031b4958145f340a3ab346ae228f0db3c3195e9cd9f27a3",
+          "46564db24c0ac76abc925c7e695b726f197d312b4bb9072597106521b4b1cf57"),
+    0.2: ("1fcf0ee68b04687e63dc9afaf48976320483942ec108cef7832db648ba48301f",
+          "3d610b9228a6d2e3806717990d564e8c33b0a0dd58c86e5433a2300ab5f7c552",
+          "6d623784e50fa0c2d7bd69e4f4c15f791e1c338aeebf15ef0dfe329a9c10528a"),
+}
+_HASWELL = {
+    0.0: ("672377f28cbef168320a64fd59f26d8efaeb260666b16ed8c295bf6f30674829",
+          "a72fbd084f2ce54357107f47d89aa2557dc868583502ea75dd349724a38aac42",
+          "8c24fdec225660abe208ad6a7de5c12b724042d0287fbba1f7f19450998612ea"),
+    0.2: ("08414f2969178976828b113cf2b7a5b060b1e4fa90edb05d9523a67cd90120eb",
+          "1f9257feb807d425c28fc94054aec7fb53a61cc22a7d013ee97ae9fefcf6b5e0",
+          "8b0b9553d470f08a27833e690786dbf0133f4421cf73c73cbf4bcacc1c368941"),
+}
+PINNED_TINY_BYTES = {
+    **{("SkylakeX", threads): _SKYLAKEX for threads in (1, 2, 3, 4)},
+    ("Haswell", 1): _HASWELL_1_THREAD,
+    **{("Haswell", threads): _HASWELL for threads in (2, 3, 4)},
+}
+
+
+def pinned_tiny_bytes():
+    """The PINNED_TINY_BYTES entry recorded with this process's build and
+    OpenBLAS core and thread count; pytest.skip if there is none."""
+    build, run_time = blas_key()
+    if build != PINNED_TINY_BUILD or run_time not in PINNED_TINY_BYTES:
+        pytest.skip(f"digests were recorded with {PINNED_TINY_BUILD} on OpenBLAS "
+                    f"(core, threads) {sorted(PINNED_TINY_BYTES)}; this process has "
+                    f"{build} on {run_time}, whose kernels may round differently")
+    return PINNED_TINY_BYTES[run_time]
 
 
 def params_digest(params):
@@ -1083,13 +1135,11 @@ def params_digest(params):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("dropout", sorted(PINNED_TINY_BYTES))
+@pytest.mark.parametrize("dropout", sorted(_SKYLAKEX))
 def test_tiny_training_bytes_are_pinned(dropout):
     """A change meant to leave results untouched leaves these bytes as they
     were recorded."""
-    if blas_key() != PINNED_TINY_BLAS:
-        pytest.skip(f"digests were recorded with numpy and BLAS {PINNED_TINY_BLAS}; "
-                    f"this build is {blas_key()}, whose kernels may round differently")
+    pinned = pinned_tiny_bytes()
     from lifthead import cli
     cfg = {f.name: f.default for f in cli.FIELDS}
     cfg.update(cli.PROFILES["tiny"], epochs=3, dropout=dropout)
@@ -1100,4 +1150,4 @@ def test_tiny_training_bytes_are_pinned(dropout):
     losses = np.array([m.loss for m in result.metrics])
     assert len(losses) == 12
     assert (params_digest(result.last_params), params_digest(result.params),
-            hashlib.sha256(losses.tobytes()).hexdigest()) == PINNED_TINY_BYTES[dropout]
+            hashlib.sha256(losses.tobytes()).hexdigest()) == pinned[dropout]

@@ -29,6 +29,24 @@ SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mul
 
 # mutant -> why no test can, or should, tell it from the module as written
 EQUIVALENT = {
+    "gradcheck.py: primitive_checks: x35 + 0.05 -> x35 - 0.05":
+        "the shift keeps relu's and abs's inputs off the kink at 0 by more than "
+        "FD_STEP, and so does -0.05 (by 7e-4 at seed 0, 0.11 at seed 11); both "
+        "signs stay in each row",
+    "gradcheck.py: primitive_checks: x35 + np.sign(x35) * 0.1 -> "
+    "x35 - np.sign(x35) * 0.1":
+        "normalize_rows' rows stay far longer than its eps either way (norm "
+        "at least 0.77 at seeds 0 and 11)",
+    "gradcheck.py: primitive_checks: np.sign(x35) * 0.1 -> np.sign(x35) / 0.1":
+        "the rows are then about 10 long; normalize_rows is checked away from "
+        "its eps either way",
+    "gradcheck.py: composed_head_check: t.data + rng.uniform(-0.05, 0.05, size=t.shape) -> "
+    "t.data - rng.uniform(-0.05, 0.05, size=t.shape)":
+        "a uniform draw from [-0.05, 0.05) subtracted is one from (-0.05, 0.05] "
+        "added: the jitter keeps its distribution",
+    "gradcheck.py: composed_head_check: -0.05 -> +0.05":
+        "a constant +0.05 also moves every zero bias off the relu kink, which is "
+        "what the jitter is for; weights, embeddings and features stay random",
     "blocks.py: fill_uniform: offset >= len(parts) * total / SPLIT_PARTS -> "
     "offset > len(parts) * total / SPLIT_PARTS":
         "a job at exactly the cut then joins the part before it; every part "

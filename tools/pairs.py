@@ -11,9 +11,11 @@ parent's IQR (the distance between its quartiles,
 ``statistics.quantiles(n=4)``), the pairs the change wins, loses and ties,
 and the no-regression check: the change's median may be worse than the
 parent's by at most the metric's ``bound``, a share of the parent's median,
-in the direction of ``better``. The exit status is 1 if a metric fails that
-check or a larger share of the change's operations failed. Standard library
-only; each run is a separate process, so the two sides share no state.
+in the direction of ``better``. A run that exits non-zero, times out or
+prints no result is reported as failed, and its pair is left out of the
+summary. The exit status is 1 if a run failed, a metric fails that check or
+a larger share of the change's operations failed. Standard library only;
+each run is a separate process, so the two sides share no state.
 """
 
 import argparse
@@ -32,12 +34,20 @@ TIMEOUT = 600.0  # seconds per run; set-up and the last operation come on top of
 
 def run_once(checkout, workload, seed, seconds):
     """One untraced run of a checkout's benchmark: its operation counts and
-    end-to-end values."""
+    end-to-end values, or {"error": why} if the run did not finish."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload",
            workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True,
-                         timeout=TIMEOUT).stdout.splitlines()
-    result = json.loads(out[-1])
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return {"error": f"timed out after {TIMEOUT:g} s"}
+    if proc.returncode != 0:
+        return {"error": f"exit status {proc.returncode}"}
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        return {"error": "no result line"}
     return {"attempted": result["attempted"], "failed": result["failed"],
             "values": {k: v["value"] for k, v in result["metrics"].items()}}
 
@@ -87,16 +97,29 @@ def main(argv=None):
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
         bench = json.load(f)
 
-    runs = {"parent": [], "change": []}
+    runs, broken = {"parent": [], "change": []}, 0
     for i, seed in enumerate(parse_seeds(args.seeds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {}
         for side in order:
-            run = run_once(getattr(args, side), args.workload, seed, bench["run_seconds"])
-            runs[side].append(run)
-            values = " ".join(f"{k}={v:.6g}" for k, v in run["values"].items())
-            print(f"run\t{seed}\t{side}\t{run['failed']}/{run['attempted']} failed\t{values}",
-                  flush=True)
+            run = pair[side] = run_once(getattr(args, side), args.workload, seed,
+                                        bench["run_seconds"])
+            if "error" in run:
+                print(f"run\t{seed}\t{side}\tfailed: {run['error']}", flush=True)
+            else:
+                values = " ".join(f"{k}={v:.6g}" for k, v in run["values"].items())
+                print(f"run\t{seed}\t{side}\t{run['failed']}/{run['attempted']} failed\t"
+                      f"{values}", flush=True)
+        if any("error" in run for run in pair.values()):
+            broken += 1
+        else:
+            for side, run in pair.items():
+                runs[side].append(run)
 
+    if broken:
+        print(f"{broken} pair(s) left out: a run failed")
+    if not runs["parent"]:
+        return 1
     rows = summarize(bench["end_to_end"], runs["parent"], runs["change"])
     print(f"{'metric':22s} {'parent':>12s} {'change':>12s} {'parent IQR':>12s} "
           f"{'W/L/T':>8s} {'worse by':>9s} {'bound':>6s}  check")
@@ -107,7 +130,7 @@ def main(argv=None):
               f"{'ok' if r['ok'] else 'WORSE'}")
     shares = failed_share(runs["parent"]), failed_share(runs["change"])
     print(f"failed share: parent {shares[0]:.6f}, change {shares[1]:.6f}")
-    return 0 if all(r["ok"] for r in rows) and shares[1] <= shares[0] else 1
+    return 0 if not broken and all(r["ok"] for r in rows) and shares[1] <= shares[0] else 1
 
 
 if __name__ == "__main__":
