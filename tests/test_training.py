@@ -1079,9 +1079,10 @@ def blas_key():
 # SHA-256 of a tiny-profile 3-epoch train() on 64 samples, as lifthead train
 # --profile tiny --epochs 3 runs it, by dropout: last_params and the averaged
 # params (names and bytes in walk order), and the float64 bytes of the step
-# losses. Recorded on one build, by the OpenBLAS core and thread count that
-# ran them: the kernels round GEMM sums differently, and Haswell's differ
-# between 1 thread and 2-4. Any other core or count skips.
+# losses. Recorded on one build, by the OpenBLAS core that ran them: the
+# kernels round GEMM sums differently. SkylakeX's bytes are the same at any
+# thread count measured (1-4 and 8); Haswell's differ between 1 thread and
+# more. Any other core skips.
 PINNED_TINY_BUILD = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
                      "NO_AFFINITY Haswell MAX_THREADS=64",
                      ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
@@ -1109,22 +1110,19 @@ _HASWELL = {
           "1f9257feb807d425c28fc94054aec7fb53a61cc22a7d013ee97ae9fefcf6b5e0",
           "8b0b9553d470f08a27833e690786dbf0133f4421cf73c73cbf4bcacc1c368941"),
 }
-PINNED_TINY_BYTES = {
-    **{("SkylakeX", threads): _SKYLAKEX for threads in (1, 2, 3, 4)},
-    ("Haswell", 1): _HASWELL_1_THREAD,
-    **{("Haswell", threads): _HASWELL for threads in (2, 3, 4)},
-}
+PINNED_TINY_BYTES = {"SkylakeX": _SKYLAKEX, "Haswell": _HASWELL}
 
 
 def pinned_tiny_bytes():
-    """The PINNED_TINY_BYTES entry recorded with this process's build and
-    OpenBLAS core and thread count; pytest.skip if there is none."""
+    """The digests recorded with this process's build and OpenBLAS core
+    (and, for Haswell, one thread or more); pytest.skip if there are none."""
     build, run_time = blas_key()
-    if build != PINNED_TINY_BUILD or run_time not in PINNED_TINY_BYTES:
+    core, threads = run_time or (None, None)
+    if build != PINNED_TINY_BUILD or core not in PINNED_TINY_BYTES:
         pytest.skip(f"digests were recorded with {PINNED_TINY_BUILD} on OpenBLAS "
-                    f"(core, threads) {sorted(PINNED_TINY_BYTES)}; this process has "
-                    f"{build} on {run_time}, whose kernels may round differently")
-    return PINNED_TINY_BYTES[run_time]
+                    f"cores {sorted(PINNED_TINY_BYTES)}; this process has "
+                    f"{build} on {core}, whose kernels may round differently")
+    return _HASWELL_1_THREAD if (core, threads) == ("Haswell", 1) else PINNED_TINY_BYTES[core]
 
 
 def params_digest(params):
